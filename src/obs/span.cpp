@@ -62,6 +62,16 @@ void Tracer::close(std::size_t index) {
   --open_depth_;
 }
 
+void Tracer::append(const Tracer& other) {
+  for (const Event& e : other.events_) {
+    if (e.dur_ns < 0) continue;
+    Event copy = e;
+    copy.depth += open_depth_;
+    copy.trace = context_;
+    events_.push_back(std::move(copy));
+  }
+}
+
 std::string Tracer::chrome_trace_json() const {
   // Relative timestamps: Chrome/Perfetto render from the earliest ts, and
   // a steady_clock epoch offset only obscures the numbers.

@@ -86,6 +86,14 @@ class Tracer {
     std::string trace;         ///< Trace context at begin time ("" if none).
   };
 
+  /// Appends every completed span of `other` (a private sink that
+  /// recorded one piece of work, e.g. one shard's engine run) as if it
+  /// had been recorded here: nested under the spans open right now and
+  /// stamped with the current trace context.  Timestamps are copied as
+  /// recorded, so `other` should read the same clock.  Open spans of
+  /// `other` are skipped.
+  void append(const Tracer& other);
+
   /// All spans, in begin order.
   [[nodiscard]] const std::vector<Event>& events() const noexcept {
     return events_;

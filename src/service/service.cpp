@@ -12,7 +12,7 @@
 #include "obs/exposition.h"
 #include "obs/telemetry.h"
 #include "provision/planner.h"
-#include "trajectory/batch.h"
+#include "trajectory/stats.h"
 
 namespace tfa::service {
 
@@ -31,10 +31,6 @@ std::vector<std::int64_t> latency_bounds() {
 
 std::vector<std::int64_t> occupancy_bounds() {
   return {1, 2, 4, 8, 16, 32, 64};
-}
-
-const char* smax_name(trajectory::SmaxSemantics s) noexcept {
-  return s == trajectory::SmaxSemantics::kArrival ? "arrival" : "completion";
 }
 
 /// Parses one `flow ...` line against `net` by round-tripping through the
@@ -376,12 +372,6 @@ void Service::close_batch() {
     telemetry_->metrics.histogram("service.batch_occupancy", occupancy_bounds())
         .record(static_cast<std::int64_t>(batch.size()));
 
-  trajectory::Config cfg = cfg_.analysis;
-  cfg.ef_mode = batch_opts_.ef_mode;
-  cfg.smax_semantics = batch_opts_.smax;
-  const std::string opts_key = std::string(cfg.ef_mode ? "ef" : "all") + ":" +
-                               smax_name(cfg.smax_semantics);
-
   // Triage each request, deduplicating engine work: one job per distinct
   // session (all requests in a batch share the options, so they would
   // compute the same answer), and none at all on a memo hit.
@@ -389,13 +379,10 @@ void Service::close_batch() {
     bool failed = false;
     WireError error;
     Session* session = nullptr;
-    std::string memo_key;
     bool cached = false;  ///< Memo hit, or duplicate of a job in this batch.
-    bool memo_hit = false;
     std::size_t job = SIZE_MAX;
   };
   std::vector<Slot> slots(batch.size());
-  std::vector<trajectory::CachedJob> jobs;
   std::vector<Session*> job_sessions;
   std::vector<std::string> job_traces;  ///< Trace of the job's first request.
   std::map<std::string, std::size_t, std::less<>> job_of_session;
@@ -424,7 +411,7 @@ void Service::close_batch() {
   }
 
   // Lock every distinct involved session for the rest of the batch —
-  // triage reads the sets, the engine runs against them, and the memo
+  // triage reads the sets, the analyzers run against them, and the memo
   // refresh writes them.  Locking in name order (names are unique, so
   // this is a total order) keeps rival connections whose batches overlap
   // free of deadlock; see service/session.h.
@@ -451,21 +438,15 @@ void Service::close_batch() {
           "session '" + p.session + "' has no flows to analyse";
       continue;
     }
-    s.memo_key = opts_key + "\n" + model::serialize_flow_set(sess->set);
-    if (sess->memo_key == s.memo_key) {
-      s.memo_hit = true;
+    // Every mutation invalidates the memo, so the options alone key it.
+    if (sess->memo_opts == batch_opts_) {
       s.cached = true;
       bump("service.analyze.memo_hits");
       continue;
     }
     const auto [it, inserted] =
-        job_of_session.try_emplace(p.session, jobs.size());
+        job_of_session.try_emplace(p.session, job_sessions.size());
     if (inserted) {
-      trajectory::CachedJob job;
-      job.set = &sess->set;
-      job.cache = &sess->cache;
-      job.telemetry = &sess->telemetry;
-      jobs.push_back(job);
       job_sessions.push_back(sess);
       job_traces.push_back(p.trace);
     } else {
@@ -478,30 +459,35 @@ void Service::close_batch() {
     s.job = it->second;
   }
 
-  // Each job's session tracer carries the trace of the request that
-  // created the job for the duration of the fan-out, so the engine's
-  // phase spans (settle, Smax passes) are attributable to one wire
-  // request.  Safe under the session locks held above; reanalyze_many
-  // never opens spans from inside its workers.
-  for (std::size_t j = 0; j < jobs.size(); ++j)
-    job_sessions[j]->telemetry.trace.set_context(job_traces[j]);
-  std::vector<trajectory::Result> results;
-  if (!jobs.empty())
-    results = trajectory::reanalyze_many(jobs, cfg, cfg_.workers, telemetry_);
-  for (Session* sess : job_sessions) sess->telemetry.trace.clear_context();
-
-  std::vector<std::string> fragments(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    fragments[j] = render_analyze_fragment(*jobs[j].set, results[j]);
-    ++job_sessions[j]->analyzes;
+  // One job per session: settle the session analyzer's dirty shards (the
+  // settle fans them out over the workers itself), then merge every
+  // shard's standing result into the session's flow order and memoise
+  // the rendering.  The wire stats are the work this settle performed —
+  // zeros when nothing was dirty.  The session tracer carries the trace
+  // of the request that created the job, so the shard runs' engine spans
+  // are attributable to one wire request.
+  std::vector<std::size_t> passes(job_sessions.size());
+  trajectory::EngineStats total;
+  for (std::size_t j = 0; j < job_sessions.size(); ++j) {
+    Session& sess = *job_sessions[j];
+    trajectory::ShardedAnalyzer& sharded = analyzer(sess, batch_opts_);
+    trajectory::EngineStats work;
+    trajectory::Result r;
+    {
+      const TraceContextGuard session_ctx(&sess.telemetry.trace,
+                                          job_traces[j]);
+      sharded.settle(&work);
+      r = sharded.result(sess.set);
+    }
+    r.stats = work;
+    sess.memo_opts = batch_opts_;
+    sess.memo_fragment = render_analyze_fragment(sess.set, r);
+    passes[j] = work.smax_passes;
+    total.merge(work);
+    ++sess.analyzes;
   }
-  // Refresh each analysed session's memo (every slot of a session in one
-  // batch carries the same key, so repeated assignment is idempotent).
-  for (const Slot& s : slots) {
-    if (s.job == SIZE_MAX) continue;
-    s.session->memo_key = s.memo_key;
-    s.session->memo_fragment = fragments[s.job];
-  }
+  if (telemetry_ != nullptr && !job_sessions.empty())
+    trajectory::publish_stats(total, telemetry_->metrics);
 
   // Respond in arrival order — the scheduler never reorders the wire.
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -514,14 +500,31 @@ void Service::close_batch() {
                     p.submitted_ns, meta);
       continue;
     }
-    if (!s.cached && s.job != SIZE_MAX)
-      meta.smax_passes = results[s.job].stats.smax_passes;
+    if (!s.cached && s.job != SIZE_MAX) meta.smax_passes = passes[s.job];
     std::string result = s.cached ? "{\"cached\":true," : "{\"cached\":false,";
-    result += s.memo_hit ? s.session->memo_fragment : fragments[s.job];
+    result += s.session->memo_fragment;
     result += '}';
     respond_ok(p.seq, p.id_json, "analyze", p.trace, result, p.submitted_ns,
                meta);
   }
+}
+
+trajectory::ShardedAnalyzer& Service::analyzer(Session& sess,
+                                               const AnalyzeOptions& opts) {
+  if (!sess.sharded || !(sess.analyzer_opts == opts)) {
+    // Per-shard results are only valid under one Config: other options
+    // start a new lineage, cold.
+    trajectory::Config cfg = cfg_.analysis;
+    cfg.ef_mode = opts.ef_mode;
+    cfg.smax_semantics = opts.smax;
+    cfg.workers = cfg_.workers;
+    sess.sharded = std::make_unique<trajectory::ShardedAnalyzer>(
+        sess.set.network(), cfg);
+    sess.sharded->attach_telemetry(&sess.telemetry);
+    sess.sharded->load(sess.set);
+    sess.analyzer_opts = opts;
+  }
+  return *sess.sharded;
 }
 
 void Service::execute(const Request& r, const std::string& op_text,
@@ -574,6 +577,7 @@ void Service::execute(const Request& r, const std::string& op_text,
       {
         const std::scoped_lock session_lock(sess->mu);
         sess->set = *parsed.flow_set;
+        (void)analyzer(*sess, AnalyzeOptions{});
         flows = sess->set.size();
         nodes = static_cast<std::size_t>(sess->set.network().node_count());
       }
@@ -619,7 +623,7 @@ void Service::execute(const Request& r, const std::string& op_text,
         return;
       }
       sess->set = std::move(tentative);
-      if (sess->sharded) sess->sharded->add_flow(*flow);
+      sess->sharded->add_flow(*flow);
       sess->invalidate_memo();
       respond_ok(seq, id_json, op_text, trace,
                  "{\"flows\":" + std::to_string(sess->set.size()) + "}",
@@ -648,9 +652,7 @@ void Service::execute(const Request& r, const std::string& op_text,
         if (static_cast<FlowIndex>(i) != *idx)
           next.add(sess->set.flow(static_cast<FlowIndex>(i)));
       sess->set = std::move(next);
-      if (sess->sharded) sess->sharded->remove_flow(r.name);
-      // The cache is kept: reanalyze_with() detects the removal and
-      // falls back to a cold start on its own.
+      sess->sharded->remove_flow(r.name);
       sess->invalidate_memo();
       respond_ok(seq, id_json, op_text, trace,
                  "{\"flows\":" + std::to_string(sess->set.size()) + "}",
@@ -674,35 +676,16 @@ void Service::execute(const Request& r, const std::string& op_text,
         respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
         return;
       }
-      trajectory::Config cfg = cfg_.analysis;
-      cfg.ef_mode = r.analyze.ef_mode;
-      cfg.smax_semantics = r.analyze.smax;
-      cfg.workers = cfg_.workers;
-      // Shard-routed admission: the session's analyzer partitions its
-      // flows into connected components of the dependency graph, and the
-      // admit analyses only the shards the candidate's path touches —
-      // decisions bit-identical to the whole-set evaluate() path
-      // (docs/sharding.md).  The analyzer is rebuilt whenever the
-      // request's analysis options differ from the ones it was built
-      // with, since per-shard results are only valid under one Config.
-      const std::string key =
-          std::string(r.analyze.ef_mode ? "ef" : "fifo") +
-          (r.analyze.smax == trajectory::SmaxSemantics::kArrival
-               ? "/arrival"
-               : "/completion");
-      if (!sess->sharded || sess->sharded_key != key) {
-        sess->sharded = std::make_unique<trajectory::ShardedAnalyzer>(
-            sess->set.network(), cfg);
-        sess->sharded->attach_telemetry(&sess->telemetry);
-        sess->sharded->load(sess->set);
-        sess->sharded_key = key;
-      }
+      // Shard-routed admission: the admit analyses only the shards the
+      // candidate's path touches — decisions bit-identical to the
+      // whole-set evaluate() path (docs/sharding.md).
+      trajectory::ShardedAnalyzer& sharded = analyzer(*sess, r.analyze);
       trajectory::AdmitOutcome d;
       {
         // The session tracer carries this request's trace id through the
         // shard-routed settle + tentative Smax run.
         const TraceContextGuard session_ctx(&sess->telemetry.trace, trace);
-        d = sess->sharded->admit(*flow);
+        d = sharded.admit(*flow);
       }
       if (d.admitted) {
         sess->set.add(*flow);
@@ -719,7 +702,7 @@ void Service::execute(const Request& r, const std::string& op_text,
              {"shard", std::to_string(d.shard)},
              {"merged", std::to_string(d.merged_shards)}});
       }
-      const trajectory::ShardStats shards = sess->sharded->stats();
+      const trajectory::ShardStats shards = sharded.stats();
       std::string result = "{\"admitted\":";
       result += d.admitted ? "true" : "false";
       result += ",\"reason\":" + json_string(d.reason);
@@ -865,7 +848,9 @@ void Service::execute(const Request& r, const std::string& op_text,
       // the text is bit-identical for any worker/executor count.  The
       // full view (timers, gauges) lives on the HTTP --metrics-port
       // endpoint, which may serve host-dependent values.
-      obs::MetricRegistry merged;
+      obs::ExpositionOptions opts;
+      opts.deterministic_only = true;
+      std::string text;
       if (!r.session.empty()) {
         Session* sess = store_->find(r.session);
         if (sess == nullptr) {
@@ -874,21 +859,22 @@ void Service::execute(const Request& r, const std::string& op_text,
           respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
           return;
         }
+        // Rendered straight from the session registry: no copy of its
+        // series, which grow with every shard run.
         const std::scoped_lock session_lock(sess->mu);
-        merged.merge(sess->telemetry.metrics);
+        text = obs::prometheus_text(sess->telemetry.metrics, opts);
       } else {
+        obs::MetricRegistry merged;
         if (telemetry_ != nullptr) merged.merge(telemetry_->metrics);
         store_->for_each([&](const std::string& name, Session& sess) {
           const std::scoped_lock session_lock(sess.mu);
           merged.merge_with_prefix(sess.telemetry.metrics,
                                    "session." + name + ".");
         });
+        text = obs::prometheus_text(merged, opts);
       }
-      obs::ExpositionOptions opts;
-      opts.deterministic_only = true;
       const std::string result =
-          "{\"format\":\"prometheus\",\"text\":" +
-          json_string(obs::prometheus_text(merged, opts)) + "}";
+          "{\"format\":\"prometheus\",\"text\":" + json_string(text) + "}";
       respond_ok(seq, id_json, op_text, trace, result, start_ns, meta);
       return;
     }

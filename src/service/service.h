@@ -11,12 +11,14 @@
 // Request scheduling: consecutive `analyze` requests whose options
 // compare equal coalesce into one batch; the batch closes when a
 // different request arrives, when it reaches ServiceConfig::max_batch,
-// or on flush()/`flush`.  A closed batch runs one warm-started engine
-// job per distinct session, fanned out over ServiceConfig::workers via
-// trajectory::reanalyze_many() — per-job state (set, cache, telemetry)
-// is private to the session, so the fan-out cannot race, and the
-// response bytes are bit-identical for every worker count (pinned by
-// tests/service/determinism_test.cpp).
+// or on flush()/`flush`.  A closed batch runs one job per distinct
+// session: the session's trajectory::ShardedAnalyzer settles its dirty
+// shards only (fanned out over ServiceConfig::workers) and merges every
+// shard's result into the session's flow order — bit-identical to a
+// global analysis of the set, and bit-identical for every worker count
+// (pinned by tests/service/determinism_test.cpp and
+// tests/service/sharded_test.cpp).  `analyze` and `admit` share that
+// analyzer, so a session has one warm-start lineage.
 //
 // Shared-store mode: the socket transport
 // (service/socket_transport.h) gives every connection its own Service
@@ -193,6 +195,12 @@ class Service {
                const std::string& trace, std::size_t bytes,
                std::int64_t start_ns);
   void close_batch();
+  /// The session's analyzer under `opts`: built from the session's set
+  /// when missing (load_network), and rebuilt cold when an analyze or
+  /// admit asks for other options than it was built under.  Caller holds
+  /// `sess.mu`.
+  trajectory::ShardedAnalyzer& analyzer(Session& sess,
+                                        const AnalyzeOptions& opts);
 
   void respond_ok(std::uint64_t seq, const std::string& id_json,
                   std::string_view op_text, const std::string& trace,

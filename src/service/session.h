@@ -1,15 +1,14 @@
 // Session store of the analysis service: each session is one named,
-// long-lived flow-set lineage carrying its own warm-start state
-// (trajectory::AnalysisCache) and its own engine telemetry, so analyses
-// of different sessions never share mutable state — that independence is
-// what lets the request scheduler fan a batch out over workers, and what
-// lets the socket transport run requests for different sessions truly
-// concurrently.
+// long-lived flow-set lineage carrying its own warm-start state (one
+// trajectory::ShardedAnalyzer, whose shards each own an AnalysisCache)
+// and its own engine telemetry, so analyses of different sessions never
+// share mutable state — that independence is what lets the socket
+// transport run requests for different sessions truly concurrently.
 //
 // Concurrency contract: the store's own map is guarded internally
 // (create/find/for_each are safe to call from any thread), and every
 // *session's* mutable state is guarded by its `Session::mu` — a caller
-// must hold it across any read or write of the session's set, cache,
+// must hold it across any read or write of the session's set, analyzer,
 // memo or telemetry.  When several sessions are locked together (the
 // analyze-batch path), they are locked in name order, which is a total
 // order because names are unique; single-transport deployments
@@ -21,12 +20,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 
 #include "model/flow_set.h"
 #include "obs/telemetry.h"
-#include "trajectory/batch.h"
+#include "service/protocol.h"
 #include "trajectory/shard.h"
 
 namespace tfa::service {
@@ -35,36 +35,32 @@ namespace tfa::service {
 /// analyses of it cheap.
 struct Session {
   std::string name;
+  /// The flows in wire order (load order, then adds and admits); the
+  /// order `analyze` reports bounds in.
   model::FlowSet set;
 
-  /// Warm-start lineage across this session's analyses and admissions.
-  /// Kept across mutations: reanalyze_with()'s validity check makes a
-  /// stale cache (flow removed/modified) fall back to a cold start
-  /// rather than an unsound warm one, while the common grow-only
-  /// sequence stays warm.
-  trajectory::AnalysisCache cache;
-
   /// Private engine sink (series capped).  Never shared with another
-  /// session — batched jobs run concurrently.
+  /// session — sessions run concurrently on the socket transport.
   obs::Telemetry telemetry;
 
-  std::uint64_t analyzes = 0;  ///< Engine runs (memo hits excluded).
+  std::uint64_t analyzes = 0;  ///< Analyze jobs run (memo hits excluded).
 
-  /// Shard-routed admission engine (trajectory/shard.h), built lazily by
-  /// the first `admit` and kept in membership lockstep with `set` by the
-  /// mutating ops.  An admit analyses only the shards the candidate's
-  /// path touches — bit-identical to the global analysis, but priced by
-  /// shard size.  `sharded_key` fingerprints the analysis options the
-  /// analyzer was built with; an admit under different options rebuilds
-  /// it cold rather than reusing state computed under the wrong Config.
+  /// The session's one warm-start lineage (trajectory/shard.h), built at
+  /// `load_network` and kept in membership lockstep with `set` by the
+  /// mutating ops.  `analyze` settles its dirty shards and `admit`
+  /// analyses only the shards the candidate's path touches — both
+  /// bit-identical to the global analysis, but priced by shard size.
+  /// `analyzer_opts` are the options it was built under; a request under
+  /// other options rebuilds it cold rather than reusing state computed
+  /// under the wrong Config.
   std::unique_ptr<trajectory::ShardedAnalyzer> sharded;
-  std::string sharded_key;
+  AnalyzeOptions analyzer_opts;
 
-  /// Exact-result memo of the latest analyze: `memo_key` identifies the
-  /// (options, serialized set) pair, `memo_fragment` is the rendered
-  /// result body.  A repeat analyze of an unchanged session answers from
-  /// here without touching the engine.  Any mutation invalidates it.
-  std::string memo_key;
+  /// Exact-result memo of the latest analyze: the options it ran under
+  /// and the rendered result body.  A repeat analyze of an unchanged
+  /// session under the same options answers from here without touching
+  /// the analyzer.  Any mutation invalidates it.
+  std::optional<AnalyzeOptions> memo_opts;
   std::string memo_fragment;
 
   /// Guards everything above except `name` (immutable after creation).
@@ -73,7 +69,7 @@ struct Session {
   std::mutex mu;
 
   void invalidate_memo() {
-    memo_key.clear();
+    memo_opts.reset();
     memo_fragment.clear();
   }
 };

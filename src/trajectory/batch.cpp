@@ -243,46 +243,4 @@ std::vector<Result> analyze_many(const std::vector<model::FlowSet>& sets,
   return out;
 }
 
-std::vector<Result> reanalyze_many(const std::vector<CachedJob>& jobs,
-                                   const Config& cfg, std::size_t workers,
-                                   obs::Telemetry* telemetry) {
-  TFA_EXPECTS(!jobs.empty());
-  // Validate up front, on the caller's thread, and reject aliased caches /
-  // sinks: two jobs racing on one cache would be a data race, not just an
-  // unsound warm start.
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const CachedJob& j = jobs[i];
-    TFA_EXPECTS(j.set != nullptr && j.cache != nullptr);
-    TFA_EXPECTS(!j.set->empty());
-    const auto issues = j.set->validate();
-    TFA_EXPECTS_MSG(issues.empty(), issues.front().message.c_str());
-    for (std::size_t k = 0; k < i; ++k) {
-      TFA_EXPECTS(jobs[k].cache != j.cache);
-      TFA_EXPECTS(j.telemetry == nullptr || jobs[k].telemetry != j.telemetry);
-    }
-  }
-  obs::Span many_span = obs::span(telemetry, "trajectory.reanalyze_many");
-  Config per_set = cfg;
-  per_set.workers = 1;  // the fan-out is the parallelism
-  std::vector<Result> out(jobs.size());
-  parallel_for(
-      jobs.size(),
-      [&](std::size_t i) {
-        out[i] = reanalyze_with(*jobs[i].set, *jobs[i].cache, per_set,
-                                jobs[i].telemetry);
-      },
-      workers);
-  // Aggregate publish, after the barrier and in job order (the same
-  // discipline as analyze_many): Result::stats is already each job's own
-  // delta, so summing the slots is deterministic for every `workers`.
-  if (telemetry != nullptr) {
-    telemetry->metrics.counter("trajectory.sets_reanalyzed") +=
-        static_cast<std::int64_t>(jobs.size());
-    EngineStats total;
-    for (const Result& r : out) total.merge(r.stats);
-    publish_stats(total, telemetry->metrics);
-  }
-  return out;
-}
-
 }  // namespace tfa::trajectory

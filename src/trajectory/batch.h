@@ -114,36 +114,4 @@ class AnalysisCache {
     const std::vector<model::FlowSet>& sets, const Config& cfg,
     std::size_t workers, obs::Telemetry* telemetry);
 
-/// One unit of a *cached* fan-out: an independent flow set carrying its
-/// own AnalysisCache lineage (and optionally its own telemetry sink).
-/// The analysis service's request scheduler batches one job per session.
-struct CachedJob {
-  const model::FlowSet* set = nullptr;  ///< Non-null, validated, non-empty.
-  AnalysisCache* cache = nullptr;       ///< Non-null; owned by the caller.
-  /// Optional per-job sink (the session's long-lived Telemetry).  Jobs run
-  /// concurrently, so two jobs must never share a sink — just as they must
-  /// never share a cache.
-  obs::Telemetry* telemetry = nullptr;
-};
-
-/// The analyze_many() of warm-started sessions: runs reanalyze_with() on
-/// every job, fanning the jobs out over `workers` threads (0 = hardware
-/// default) with each per-job engine forced to Config::workers = 1, so the
-/// fan-out is the only parallelism.  Results are ordered like `jobs`
-/// regardless of scheduling, and each job's bounds are bit-identical to a
-/// standalone reanalyze_with() call — jobs are fully independent (distinct
-/// caches, distinct sinks; checked), so the schedule cannot leak between
-/// them.
-///
-/// `telemetry` is the *aggregate* sink (one "trajectory.reanalyze_many"
-/// span, a "trajectory.sets_reanalyzed" counter, summed per-job work
-/// counters published in job order); per-job series and spans land in each
-/// job's own sink, exactly like a sequence of reanalyze_with() calls.
-///
-/// Preconditions: `jobs` non-empty; every job's set non-empty and clean
-/// under validate(); no cache (and no non-null sink) appears twice.
-[[nodiscard]] std::vector<Result> reanalyze_many(
-    const std::vector<CachedJob>& jobs, const Config& cfg,
-    std::size_t workers = 0, obs::Telemetry* telemetry = nullptr);
-
 }  // namespace tfa::trajectory

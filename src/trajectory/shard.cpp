@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <ranges>
 #include <utility>
 
 #include "base/contracts.h"
@@ -297,8 +298,8 @@ void ShardedAnalyzer::analyze_shard(ShardId id, obs::Telemetry* sink) {
   s.healthy = shard_healthy(s.last);
 }
 
-void ShardedAnalyzer::publish_run(ShardId id, const Result& r,
-                                  std::size_t flows) {
+void ShardedAnalyzer::publish_run(const Result& r, std::size_t flows,
+                                  const obs::Telemetry& sink) {
   ++stats_.analyzed_shards;
   stats_.analyzed_flows += flows;
   if (telemetry_ == nullptr) return;
@@ -308,10 +309,13 @@ void ShardedAnalyzer::publish_run(ShardId id, const Result& r,
                                         r.stats.smax_passes));
   telemetry_->metrics.append_series("shard.convergence.flows",
                                     static_cast<std::int64_t>(flows));
-  (void)id;
+  telemetry_->metrics.merge(sink.metrics);
+  telemetry_->metrics.merge_with_prefix(sink.metrics, "shard.");
+  telemetry_->trace.append(sink.trace);
 }
 
-std::size_t ShardedAnalyzer::settle() {
+std::size_t ShardedAnalyzer::settle(EngineStats* work) {
+  if (work != nullptr) *work = EngineStats{};
   // The dirty index replaces the former all-shards scan; as an ordered
   // set it yields the same shard-id order the scan did.
   const std::vector<ShardId> dirty(dirty_.begin(), dirty_.end());
@@ -321,7 +325,7 @@ std::size_t ShardedAnalyzer::settle() {
       cfg_.workers == 0 ? default_worker_count() : cfg_.workers;
   std::vector<obs::Telemetry> sinks(dirty.size());
   if (dirty.size() > 1 && fan > 1) {
-    // Fan the dirty shards out like reanalyze_many: the fan-out is the only
+    // Fan the dirty shards out like analyze_many: the fan-out is the only
     // parallelism (per-shard engines at workers=1), results land in
     // pre-sized slots, and all publishing happens afterwards in shard-id
     // order — so bounds AND telemetry are bit-identical for every fan.
@@ -344,9 +348,8 @@ std::size_t ShardedAnalyzer::settle() {
     const Shard& s = shard_at(dirty[k]);
     dirty_.erase(dirty[k]);
     if (s.healthy) unhealthy_.erase(dirty[k]);
-    publish_run(dirty[k], s.last, s.names.size());
-    if (telemetry_ != nullptr)
-      telemetry_->metrics.merge_with_prefix(sinks[k].metrics, "shard.");
+    publish_run(s.last, s.names.size(), sinks[k]);
+    if (work != nullptr) work->merge(s.last.stats);
   }
   return dirty.size();
 }
@@ -422,9 +425,7 @@ AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
   Result r = reanalyze_with(tentative, scratch, cfg_, &local);
   out.stats = r.stats;
   out.shard_flows = tentative.size();
-  publish_run(0, r, tentative.size());
-  if (telemetry_ != nullptr)
-    telemetry_->metrics.merge_with_prefix(local.metrics, "shard.");
+  publish_run(r, tentative.size(), local);
 
   bool ok = r.converged;
   for (const FlowBound& b : r.bounds) {
@@ -475,25 +476,32 @@ AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
   return out;
 }
 
-Result ShardedAnalyzer::result() {
+template <typename Flows>
+Result ShardedAnalyzer::merge_results(const Flows& flows) {
   settle();
   Result merged;
   merged.converged = true;
+  bool all_ok = true;
+  std::size_t i = 0;
+  for (const model::SporadicFlow& f : flows) {
+    // A shard's set is in `names` order and its bounds are in set order,
+    // so two binary searches find the flow's bound (none: an EF-mode
+    // background flow, which the engine does not bound).
+    const Shard& s = shard_at(shard_of_.find(f.name())->second);
+    const auto it = std::lower_bound(s.names.begin(), s.names.end(), f.name());
+    TFA_ASSERT(it != s.names.end() && *it == f.name());
+    const auto idx = static_cast<FlowIndex>(it - s.names.begin());
+    const auto b = std::lower_bound(
+        s.last.bounds.begin(), s.last.bounds.end(), idx,
+        [](const FlowBound& x, FlowIndex j) { return x.flow < j; });
+    const auto at = static_cast<FlowIndex>(i++);
+    if (b == s.last.bounds.end() || b->flow != idx) continue;
+    merged.bounds.push_back(*b);
+    merged.bounds.back().flow = at;
+    all_ok = all_ok && b->schedulable;
+  }
   EngineStats agg;
   bool any_stats = false;
-  std::size_t canonical = 0;
-  for (const auto& [name, flow] : flows_) {
-    const ShardId sid = shard_of_.at(name);
-    const Shard& s = shard_at(sid);
-    const auto idx = s.set.find(name);
-    TFA_ASSERT(idx.has_value());
-    if (const FlowBound* b = s.last.find(*idx); b != nullptr) {
-      FlowBound remapped = *b;
-      remapped.flow = static_cast<FlowIndex>(canonical);
-      merged.bounds.push_back(std::move(remapped));
-    }
-    ++canonical;
-  }
   for (const auto& [id, s] : shards_) {
     merged.converged = merged.converged && s.last.converged;
     merged.smax_iterations =
@@ -507,10 +515,17 @@ Result ShardedAnalyzer::result() {
     }
   }
   merged.stats = agg;
-  bool all_ok = true;
-  for (const FlowBound& b : merged.bounds) all_ok = all_ok && b.schedulable;
   merged.all_schedulable = all_ok && !merged.bounds.empty();
   return merged;
+}
+
+Result ShardedAnalyzer::result() {
+  return merge_results(std::views::values(flows_));
+}
+
+Result ShardedAnalyzer::result(const model::FlowSet& order) {
+  TFA_EXPECTS(order.size() == flows_.size());
+  return merge_results(order.flows());
 }
 
 model::FlowSet ShardedAnalyzer::flow_set() const {

@@ -139,8 +139,10 @@ class ShardedAnalyzer {
 
   /// Re-analyses every dirty shard (in shard-id order, fanned out over
   /// Config::workers with per-shard engines at workers=1 when several are
-  /// dirty).  Returns the number of shards analysed.  Idempotent.
-  std::size_t settle();
+  /// dirty).  Returns the number of shards analysed.  Idempotent.  When
+  /// `work` is non-null it receives the EngineStats::merge of the runs
+  /// this call performed — all zeros when nothing was dirty.
+  std::size_t settle(EngineStats* work = nullptr);
 
   /// Deterministic merge of the per-shard results: bounds in canonical
   /// (name-sorted) flow order with FlowBound::flow indexing flow_set(),
@@ -148,6 +150,11 @@ class ShardedAnalyzer {
   /// would report them, split counts summed, smax_iterations the maximum,
   /// stats the merge of each shard's last run.  Settles first.
   [[nodiscard]] Result result();
+
+  /// result(), with the bounds in `order`'s flow order and FlowBound::flow
+  /// indexing `order` — for callers that keep their own flow order (a
+  /// service session).  `order` must hold exactly the analysed flows.
+  [[nodiscard]] Result result(const model::FlowSet& order);
 
   /// The analysed flows as one canonical FlowSet (name-sorted — the order
   /// result() reports in).
@@ -169,12 +176,17 @@ class ShardedAnalyzer {
   [[nodiscard]] const model::Network& network() const noexcept;
   [[nodiscard]] const Config& config() const noexcept;
 
-  /// Long-lived observability sink (nullptr detaches).  Shard-routed
-  /// analyses publish their work counters under the usual trajectory.*
-  /// names plus a "shard." prefixed copy (obs::MetricRegistry::
-  /// merge_with_prefix), and every settle appends the per-shard
-  /// convergence series shard.convergence.{passes,flows} in shard-id
-  /// order.  The sink must outlive the analyzer or be detached first.
+  /// Long-lived observability sink (nullptr detaches).  Every shard run
+  /// (settle() and admit()'s tentative run) publishes its metrics under
+  /// the usual trajectory.* names plus a "shard." prefixed copy
+  /// (obs::MetricRegistry::merge_with_prefix), appends its engine spans
+  /// to the sink's tracer under the current trace context
+  /// (obs::Tracer::append), and adds one entry to the convergence series
+  /// shard.convergence.{passes,flows} — all in shard-id order, so the
+  /// sink's deterministic metrics and span tree are identical for every
+  /// Config::workers.  With no sink attached
+  /// none of this is done.  The sink must outlive the analyzer or be
+  /// detached first.
   void attach_telemetry(obs::Telemetry* telemetry);
 
  private:
@@ -187,7 +199,12 @@ class ShardedAnalyzer {
                       const model::SporadicFlow& flow);
   void rebuild_shard(ShardId id);
   void analyze_shard(ShardId id, obs::Telemetry* sink);
-  void publish_run(ShardId id, const Result& r, std::size_t flows);
+  void publish_run(const Result& r, std::size_t flows,
+                   const obs::Telemetry& sink);
+  /// The merged result with `flows` (every analysed flow, once) giving
+  /// the bound order.  Settles first.
+  template <typename Flows>
+  [[nodiscard]] Result merge_results(const Flows& flows);
 
   model::Network net_;
   Config cfg_;

@@ -1,15 +1,18 @@
 // Unit tests of the sharded incremental analyzer (trajectory/shard.h):
 // union-find partitioning on crafted topologies (disjoint chains, one
 // shared hub coupling everything, removal splitting a shard), the golden
-// paper Table 1/2 regression through the sharded path, and bit-identity
-// of the merged result against the global engine.
+// paper Table 1/2 regression through the sharded path, bit-identity of
+// the merged result against the global engine, and what shard runs
+// publish into an attached telemetry sink.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "model/paper_example.h"
+#include "obs/telemetry.h"
 #include "trajectory/analysis.h"
 #include "trajectory/shard.h"
 
@@ -293,6 +296,138 @@ TEST(Shard, IncrementalStateMatchesFromScratch) {
     expect_same_bound(inc.bounds[i], scr.bounds[i],
                       "bound " + std::to_string(i));
   expect_matches_global(sa, {});
+}
+
+// result(order) re-emits the merged bounds in a caller's flow order with
+// FlowBound::flow indexing that order: the same bounds as result(), and
+// exactly the global engine's when `order` is the analysed set itself.
+TEST(Shard, ResultInCallerOrderMatchesGlobal) {
+  FlowSet order(Network(8, 1, 1));
+  order.add(chain("z", {0, 1}));
+  order.add(chain("m", {4, 5}));
+  order.add(chain("a", {1, 2}));
+  order.add(chain("q", {5, 6, 7}));
+  ShardedAnalyzer sa(order.network());
+  sa.load(order);
+  EXPECT_EQ(sa.shard_count(), 2u);
+  const Result global = analyze(order, {});
+  const Result r = sa.result(order);
+  ASSERT_EQ(r.bounds.size(), global.bounds.size());
+  EXPECT_EQ(r.converged, global.converged);
+  EXPECT_EQ(r.all_schedulable, global.all_schedulable);
+  for (std::size_t i = 0; i < r.bounds.size(); ++i) {
+    EXPECT_EQ(r.bounds[i].flow, global.bounds[i].flow);
+    expect_same_bound(r.bounds[i], global.bounds[i],
+                      order.flow(global.bounds[i].flow).name());
+  }
+}
+
+// settle(&work) reports the summed stats of exactly the runs it
+// performed: the dirty shards, and nothing once they are clean.
+TEST(Shard, SettleReportsTheWorkOfItsOwnRuns) {
+  ShardedAnalyzer sa(Network(4, 1, 1));
+  sa.add_flow(chain("left", {0, 1}));
+  sa.add_flow(chain("right", {2, 3}));
+  EngineStats work;
+  EXPECT_EQ(sa.settle(&work), 2u);
+  const Result r = sa.result();
+  EXPECT_GT(work.smax_passes, 0u);
+  EXPECT_EQ(work.smax_passes, r.stats.smax_passes);
+  EXPECT_EQ(work.test_points, r.stats.test_points);
+  EXPECT_EQ(sa.settle(&work), 0u);
+  EXPECT_EQ(work.smax_passes, 0u);
+  EXPECT_EQ(work.test_points, 0u);
+  sa.add_flow(chain("left2", {0, 1}));
+  EXPECT_EQ(sa.settle(&work), 1u);
+  EXPECT_GT(work.smax_passes, 0u);
+  EXPECT_GT(work.cache_hits, 0u);  // the left shard re-ran warm
+}
+
+/// Names of the spans in `trace` recorded under trace id `trace_id`.
+std::vector<std::string> spans_under(const obs::Tracer& trace,
+                                     const std::string& trace_id) {
+  std::vector<std::string> names;
+  for (const obs::Tracer::Event& ev : trace.events())
+    if (ev.trace == trace_id) names.push_back(ev.name);
+  return names;
+}
+
+// Shard runs publish their counters under the bare trajectory.* names
+// AND a shard. copy, and their engine spans reach the attached tracer
+// under the current trace context, nested below the open spans — for
+// settle() and for admit()'s tentative run alike.
+TEST(Shard, RunsPublishBothCounterNamesAndTheirSpans) {
+  obs::Telemetry sink;
+  ShardedAnalyzer sa(Network(4, 1, 1));
+  sa.attach_telemetry(&sink);
+  sa.add_flow(chain("left", {0, 1}));
+  sa.add_flow(chain("right", {2, 3}));
+
+  sink.trace.set_context("settle-1");
+  EngineStats work;
+  sa.settle(&work);
+  const auto passes = static_cast<std::int64_t>(work.smax_passes);
+  EXPECT_GT(passes, 0);
+  EXPECT_EQ(sink.metrics.counter_value("trajectory.smax_passes"), passes);
+  EXPECT_EQ(sink.metrics.counter_value("shard.trajectory.smax_passes"),
+            passes);
+  const std::vector<std::string> settled = spans_under(sink.trace, "settle-1");
+  EXPECT_EQ(std::count(settled.begin(), settled.end(), "trajectory.reanalyze"),
+            2);  // one per dirty shard
+  for (const obs::Tracer::Event& ev : sink.trace.events()) {
+    if (ev.name == "trajectory.reanalyze") {
+      EXPECT_EQ(ev.depth, 0u);
+    }
+  }
+
+  sink.trace.set_context("admit-1");
+  const std::size_t before = sink.trace.events().size();
+  AdmitOutcome o;
+  {
+    obs::Span outer = sink.trace.span("service.admit");
+    o = sa.admit(chain("left2", {0, 1}));
+  }
+  ASSERT_TRUE(o.admitted) << o.reason;
+  const auto admit_passes = static_cast<std::int64_t>(o.stats.smax_passes);
+  EXPECT_GT(admit_passes, 0);
+  EXPECT_EQ(sink.metrics.counter_value("trajectory.smax_passes"),
+            passes + admit_passes);
+  EXPECT_EQ(sink.metrics.counter_value("shard.trajectory.smax_passes"),
+            passes + admit_passes);
+  bool saw_engine = false;
+  for (std::size_t i = before; i < sink.trace.events().size(); ++i) {
+    const obs::Tracer::Event& ev = sink.trace.events()[i];
+    EXPECT_EQ(ev.trace, "admit-1") << ev.name;
+    if (ev.name == "trajectory.reanalyze") {
+      EXPECT_EQ(ev.depth, 1u);  // below the open service.admit span
+      saw_engine = true;
+    }
+  }
+  EXPECT_TRUE(saw_engine);
+}
+
+// What a settle publishes does not depend on the fan-out: the same
+// deterministic metrics and the same span tree for any worker count.
+TEST(Shard, PublishedTelemetryIsWorkerCountIndependent) {
+  const auto run = [](std::size_t workers) {
+    obs::Telemetry sink;
+    Config cfg;
+    cfg.workers = workers;
+    ShardedAnalyzer sa(Network(9, 1, 1), cfg);
+    sa.attach_telemetry(&sink);
+    sa.add_flow(chain("a", {0, 1, 2}));
+    sa.add_flow(chain("b", {3, 4, 5}));
+    sa.add_flow(chain("c", {6, 7, 8}));
+    sa.add_flow(chain("a2", {1, 2}));
+    (void)sa.result();
+    std::string tree;
+    for (const obs::Tracer::Event& ev : sink.trace.events())
+      tree += ev.name + "@" + std::to_string(ev.depth) + "\n";
+    return sink.metrics.deterministic_json() + tree;
+  };
+  const std::string one = run(1);
+  EXPECT_NE(one.find("trajectory.reanalyze@0"), std::string::npos);
+  EXPECT_EQ(run(4), one);
 }
 
 }  // namespace
