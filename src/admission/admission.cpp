@@ -33,8 +33,7 @@ void AdmissionController::attach_telemetry(obs::Telemetry* telemetry) {
 Decision evaluate(const model::FlowSet& admitted,
                   const model::SporadicFlow& candidate, AnalysisKind kind,
                   const trajectory::Config& trajectory_cfg,
-                  trajectory::AnalysisCache* cache, obs::Telemetry* telemetry,
-                  trajectory::EngineStats* stats_out) {
+                  obs::Telemetry* telemetry) {
   Decision d;
 
   // Structural rejections first: name clash, path outside the network.
@@ -74,17 +73,8 @@ Decision evaluate(const model::FlowSet& admitted,
   switch (kind) {
     case AnalysisKind::kTrajectory:
     case AnalysisKind::kTrajectoryEf: {
-      // Incremental API: in the common admit sequence the tentative set
-      // extends the previously analysed one by the newcomer, so the Smax
-      // fixed point warm-starts from the cached table instead of from the
-      // cold seed (trajectory/batch.h).  A caller without a lineage gets
-      // a private cold cache.
-      trajectory::AnalysisCache scratch;
-      const trajectory::Result r = trajectory::reanalyze_with(
-          tentative, cache != nullptr ? *cache : scratch, trajectory_cfg,
-          telemetry);
-      if (stats_out != nullptr)
-        *stats_out = r.stats;  // already this call's delta, registry or not
+      const trajectory::Result r =
+          trajectory::analyze(tentative, trajectory_cfg, telemetry);
       ok = harvest(r.bounds, r.converged);
       break;
     }
@@ -125,8 +115,7 @@ Decision AdmissionController::request(const model::SporadicFlow& flow) {
     d.candidate_bound = o.candidate_bound;
     last_stats_ = o.stats;
   } else {
-    d = evaluate(set_, flow, kind_, trajectory_cfg_, nullptr, telemetry_,
-                 &last_stats_);
+    d = evaluate(set_, flow, kind_, trajectory_cfg_, telemetry_);
   }
   if (d.admitted) set_.add(flow);
   if (telemetry_ != nullptr) {

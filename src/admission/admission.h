@@ -14,7 +14,6 @@
 
 #include "base/types.h"
 #include "model/flow_set.h"
-#include "trajectory/batch.h"
 #include "trajectory/shard.h"
 #include "trajectory/types.h"
 
@@ -50,19 +49,15 @@ struct Decision {
 /// worst-case analysis of the tentative set, but commits nothing — the
 /// caller owns the set and applies the add itself on a positive decision.
 ///
-/// `cache` (trajectory kinds only, may be null) warm-starts the analysis
-/// and is refreshed with the tentative run's converged state either way;
-/// `stats_out` (may be null) receives that run's EngineStats.  Both are
-/// ignored by the holistic / network-calculus kinds.  Shared by
-/// AdmissionController::request and the analysis service's `admit` op, so
-/// the two admission paths cannot drift.
+/// The analysis runs cold on the tentative set.  AdmissionController
+/// takes this path for the holistic / network-calculus kinds; its
+/// trajectory kinds go through the sharded analyzer instead, which
+/// reaches the same decision (docs/sharding.md).
 [[nodiscard]] Decision evaluate(const model::FlowSet& admitted,
                                 const model::SporadicFlow& candidate,
                                 AnalysisKind kind,
                                 const trajectory::Config& trajectory_cfg,
-                                trajectory::AnalysisCache* cache = nullptr,
-                                obs::Telemetry* telemetry = nullptr,
-                                trajectory::EngineStats* stats_out = nullptr);
+                                obs::Telemetry* telemetry = nullptr);
 
 /// Edge admission controller.
 ///

@@ -3,7 +3,7 @@
 #include <chrono>
 #include <utility>
 
-#include "obs/json.h"
+#include "base/json.h"
 
 namespace tfa::obs {
 

@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "base/contracts.h"
-#include "obs/json.h"
+#include "base/json.h"
 
 namespace tfa::obs {
 

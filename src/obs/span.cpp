@@ -5,7 +5,7 @@
 #include <utility>
 
 #include "base/contracts.h"
-#include "obs/json.h"
+#include "base/json.h"
 
 namespace tfa::obs {
 

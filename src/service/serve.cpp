@@ -2,18 +2,12 @@
 
 #include <istream>
 #include <ostream>
-#include <string>
-#include <string_view>
+
+#include "service/line_framer.h"
 
 namespace tfa::service {
 
 namespace {
-
-bool blank(std::string_view line) noexcept {
-  for (const char c : line)
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  return true;
-}
 
 void drain(std::ostream& out, Service& service) {
   bool wrote = false;
@@ -24,46 +18,14 @@ void drain(std::ostream& out, Service& service) {
   if (wrote) out.flush();
 }
 
-/// Bounded std::getline: reads one '\n'-terminated line into `line`,
-/// buffering at most `limit + 1` bytes (the +1 absorbs a trailing
-/// '\r').  A longer line is *discarded* byte-by-byte up to its newline
-/// and reported through `*oversized` with its exact length, so a rogue
-/// request costs bounded memory and the stream stays line-synchronised
-/// — the next request parses normally.  Returns false at EOF with
-/// nothing read.
-bool bounded_getline(std::istream& in, std::size_t limit, std::string& line,
-                     std::size_t* oversized) {
-  line.clear();
-  *oversized = 0;
-  const std::size_t cap = limit + 1;
-  std::size_t skipped = 0;
-  bool last_cr = false;
-  bool got_any = false;
-  int ch;
-  while ((ch = in.get()) != std::char_traits<char>::eof()) {
-    got_any = true;
-    if (ch == '\n') break;
-    if (skipped > 0) {
-      ++skipped;
-      last_cr = ch == '\r';
-      continue;
-    }
-    if (line.size() >= cap) {
-      skipped = line.size() + 1;
-      last_cr = ch == '\r';
-      line.clear();
-      continue;
-    }
-    line.push_back(static_cast<char>(ch));
-  }
-  if (skipped > 0) {
-    // Exclude a trailing '\r', matching the length the stripped line
-    // would have reported through the in-band gate.
-    *oversized = skipped - (last_cr ? 1 : 0);
-  } else if (!line.empty() && line.back() == '\r') {
-    line.pop_back();
-  }
-  return got_any;
+/// Reads what `in` has buffered, up to `cap` bytes, blocking for one
+/// byte when it has nothing buffered.  Returns 0 at EOF.
+std::size_t read_chunk(std::istream& in, char* buf, std::size_t cap) {
+  const auto want = static_cast<std::streamsize>(cap);
+  if (const std::streamsize n = in.readsome(buf, want); n > 0)
+    return static_cast<std::size_t>(n);
+  if (!in.get(buf[0])) return 0;
+  return 1 + static_cast<std::size_t>(in.readsome(buf + 1, want - 1));
 }
 
 }  // namespace
@@ -71,24 +33,25 @@ bool bounded_getline(std::istream& in, std::size_t limit, std::string& line,
 ServeResult serve_stream(std::istream& in, std::ostream& out,
                          Service& service) {
   ServeResult result;
-  const std::size_t limit = service.config().max_request_bytes;
-  std::string line;
-  std::size_t oversized = 0;
-  while (bounded_getline(in, limit, line, &oversized)) {
-    if (oversized > 0) {
-      service.submit_oversized(oversized);
-      ++result.requests;
-    } else {
-      if (blank(line)) continue;
-      service.submit(line);
-      ++result.requests;
-    }
-    // Close the batch when no more input is already buffered: a client
-    // that stops to read gets its analyze answered now, while a piped
-    // burst keeps coalescing.
-    if (in.rdbuf()->in_avail() <= 0) service.flush();
+  LineFramer framer(service.config().max_request_bytes,
+                    [&](const FramedLine& l) {
+                      if (l.oversized > 0) {
+                        service.submit_oversized(l.oversized);
+                      } else {
+                        service.submit(l.text);
+                      }
+                      ++result.requests;
+                    });
+  char buf[16384];
+  while (const std::size_t n = read_chunk(in, buf, sizeof buf)) {
+    framer.feed(buf, n);
+    // Close the batch when the input runs dry at a line boundary: a
+    // client that stops to read gets its analyze answered now, while a
+    // piped burst keeps coalescing.
+    if (!framer.mid_line() && in.rdbuf()->in_avail() <= 0) service.flush();
     drain(out, service);
   }
+  framer.finish();
   service.flush();
   drain(out, service);
   result.shutdown = service.draining();

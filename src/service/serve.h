@@ -17,17 +17,15 @@ struct ServeResult {
 };
 
 /// Reads request lines from `in` until EOF, writing each response line
-/// (newline-terminated) to `out`.  Blank lines are ignored and consume
-/// no sequence number.  Lines are read through a *bounded* reader: one
-/// longer than ServiceConfig::max_request_bytes is discarded up to its
-/// newline (never buffered whole) and answered with the structured
-/// `oversized` error envelope, leaving the stream line-synchronised for
-/// the next request.  The open analyze batch is closed whenever the
-/// input buffer runs dry — an interactive client gets its answer
-/// without having to send `flush` — and at EOF; response *bytes* do not
-/// depend on where batches close, only latency does.  EOF after
-/// `shutdown` is the graceful-drain exit; plain EOF drains the same
-/// way.
+/// (newline-terminated) to `out`.  Requests are framed by LineFramer
+/// (service/line_framer.h), the framer the socket transport uses too:
+/// blank lines consume no sequence number, and a line longer than
+/// ServiceConfig::max_request_bytes is answered with the `oversized`
+/// error envelope without being buffered whole.  The open analyze batch
+/// is closed whenever the input buffer runs dry at a line boundary — an
+/// interactive client gets its answer without having to send `flush` —
+/// and at EOF.  EOF after `shutdown` is the graceful-drain exit; plain
+/// EOF drains the same way.
 ServeResult serve_stream(std::istream& in, std::ostream& out,
                          Service& service);
 

@@ -6,13 +6,13 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
 #include "base/contracts.h"
 #include "obs/eventlog.h"
 #include "obs/exposition.h"
 #include "obs/telemetry.h"
+#include "service/line_framer.h"
 #include "service/metrics_http.h"
 #include "service/protocol.h"
 
@@ -24,14 +24,6 @@ std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// serve_stream's notion of an ignorable line (serve.cpp) — kept
-/// identical so the transports frame the same byte stream the same way.
-bool blank(std::string_view line) noexcept {
-  for (const char c : line)
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  return true;
 }
 
 /// The one-line goodbye a shed connection receives.  `seq` is 0: no
@@ -70,17 +62,24 @@ void fold_histogram(obs::Histogram& dst, const obs::Histogram& src) {
 
 }  // namespace
 
-/// One client connection.  Framing state (`partial`, the discard
-/// counters, `eof`) is touched only by the event-loop thread; the
-/// executor/loop handshake (`pending`, `busy`, `outbuf`, the close
-/// flags) is guarded by `mu`.  `service` is used exclusively by the
-/// executor that holds `busy`, honouring Service's single-threaded
-/// contract; cross-connection safety comes from the shared
-/// SessionStore's locks underneath.
+/// One client connection.  `framer` and `eof` are touched only by the
+/// event-loop thread; the executor/loop handshake (`pending`, `busy`,
+/// `outbuf`, the close flags) is guarded by `mu`.  `service` is used
+/// exclusively by the executor that holds `busy`, honouring Service's
+/// single-threaded contract; cross-connection safety comes from the
+/// shared SessionStore's locks underneath.
 struct SocketServer::Conn {
   Conn(net::UniqueFd fd_in, std::uint64_t id_in, const ServiceConfig& cfg,
        SessionStore* store)
-      : fd(std::move(fd_in)), id(id_in), service(cfg, nullptr, store) {
+      : fd(std::move(fd_in)),
+        id(id_in),
+        service(cfg, nullptr, store),
+        framer(cfg.max_request_bytes, [this](const FramedLine& l) {
+          // Stamp the arrival now, so `deadline_ms` counts queueing.
+          Item item{std::string(l.text), steady_now_ns(), l.oversized};
+          const std::scoped_lock lock(mu);
+          pending.push_back(std::move(item));
+        }) {
     latency.bounds = latency_bounds();
     latency.counts.assign(latency.bounds.size(), 0);
   }
@@ -89,12 +88,8 @@ struct SocketServer::Conn {
   const std::uint64_t id;  ///< Monotone accept index (1-based).
   Service service;
 
-  // Event-loop-owned framing state.
-  std::string partial;      ///< Bytes of the line being assembled.
-  bool discarding = false;  ///< Oversized line: counting until newline.
-  std::size_t discarded = 0;
-  bool last_cr = false;  ///< Last discarded byte was '\r' (strip parity).
-  bool eof = false;      ///< Read side closed.
+  LineFramer framer;
+  bool eof = false;  ///< Read side closed.
 
   /// One unit of executor work: a framed request line, or the byte
   /// count of an oversized line the loop refused to buffer.
@@ -201,21 +196,22 @@ void SocketServer::wait() {
   done_cv_.wait(lock, [this] { return loop_done_.load(); });
 }
 
+void SocketServer::add_counters(obs::MetricRegistry& m) const {
+  const auto v = [](const std::atomic<std::uint64_t>& a) {
+    return static_cast<std::int64_t>(a.load(std::memory_order_relaxed));
+  };
+  m.counter("service.net.accepted") += v(accepted_);
+  m.counter("service.net.shed") += v(shed_);
+  m.counter("service.net.requests") += v(requests_);
+  m.counter("service.net.oversized") += v(oversized_);
+  m.counter("service.net.bytes_in") += v(bytes_in_);
+  m.counter("service.net.bytes_out") += v(bytes_out_);
+}
+
 void SocketServer::publish_counters() {
   if (telemetry_ == nullptr) return;
   obs::MetricRegistry& m = telemetry_->metrics;
-  m.counter("service.net.accepted") += static_cast<std::int64_t>(
-      accepted_.load(std::memory_order_relaxed));
-  m.counter("service.net.shed") +=
-      static_cast<std::int64_t>(shed_.load(std::memory_order_relaxed));
-  m.counter("service.net.requests") += static_cast<std::int64_t>(
-      requests_.load(std::memory_order_relaxed));
-  m.counter("service.net.oversized") += static_cast<std::int64_t>(
-      oversized_.load(std::memory_order_relaxed));
-  m.counter("service.net.bytes_in") += static_cast<std::int64_t>(
-      bytes_in_.load(std::memory_order_relaxed));
-  m.counter("service.net.bytes_out") += static_cast<std::int64_t>(
-      bytes_out_.load(std::memory_order_relaxed));
+  add_counters(m);
   const std::scoped_lock lock(latency_mu_);
   if (closed_latency_.count > 0)
     fold_histogram(
@@ -229,18 +225,7 @@ std::uint16_t SocketServer::metrics_port() const noexcept {
 
 std::string SocketServer::metrics_text() {
   obs::MetricRegistry snap;
-  snap.counter("service.net.accepted") += static_cast<std::int64_t>(
-      accepted_.load(std::memory_order_relaxed));
-  snap.counter("service.net.shed") +=
-      static_cast<std::int64_t>(shed_.load(std::memory_order_relaxed));
-  snap.counter("service.net.requests") += static_cast<std::int64_t>(
-      requests_.load(std::memory_order_relaxed));
-  snap.counter("service.net.oversized") += static_cast<std::int64_t>(
-      oversized_.load(std::memory_order_relaxed));
-  snap.counter("service.net.bytes_in") += static_cast<std::int64_t>(
-      bytes_in_.load(std::memory_order_relaxed));
-  snap.counter("service.net.bytes_out") += static_cast<std::int64_t>(
-      bytes_out_.load(std::memory_order_relaxed));
+  add_counters(snap);
 
   // Latency: the closed-connection fold plus every live connection, in
   // connection-id order (fixed merge order — docs/observability.md).
@@ -313,77 +298,6 @@ void SocketServer::accept_pending() {
   }
 }
 
-void SocketServer::enqueue_line(Conn& c, std::string line) {
-  // serve_stream parity: trailing '\r' stripped, blank lines skipped
-  // (no sequence number consumed).
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  if (blank(line)) return;
-  Conn::Item item;
-  item.arrival_ns = steady_now_ns();
-  if (line.size() > cfg_.service.max_request_bytes) {
-    item.oversized_bytes = line.size();
-  } else {
-    item.line = std::move(line);
-  }
-  const std::scoped_lock lock(c.mu);
-  c.pending.push_back(std::move(item));
-}
-
-void SocketServer::feed(Conn& c, const char* data, std::size_t n) {
-  // Newline framing with the size limit enforced *while reading*: a
-  // line is buffered up to max_request_bytes + 1 (the +1 absorbs a
-  // trailing '\r'); past that the loop only counts bytes until the
-  // newline, then reports the exact length in the oversized envelope.
-  const std::size_t cap = cfg_.service.max_request_bytes + 1;
-  std::size_t i = 0;
-  while (i < n) {
-    const void* nl_raw = std::memchr(data + i, '\n', n - i);
-    const char* nl = static_cast<const char*>(nl_raw);
-    const std::size_t seg = nl != nullptr
-                                ? static_cast<std::size_t>(nl - (data + i))
-                                : n - i;
-    if (c.discarding) {
-      if (nl == nullptr) {
-        c.discarded += seg;
-        if (seg > 0) c.last_cr = data[n - 1] == '\r';
-        i = n;
-        continue;
-      }
-      const bool cr = seg > 0 ? *(nl - 1) == '\r' : c.last_cr;
-      std::size_t total = c.discarded + seg;
-      if (cr) --total;
-      Conn::Item item;
-      item.arrival_ns = steady_now_ns();
-      item.oversized_bytes = total;
-      {
-        const std::scoped_lock lock(c.mu);
-        c.pending.push_back(std::move(item));
-      }
-      c.discarding = false;
-      c.discarded = 0;
-      c.last_cr = false;
-      i += seg + 1;
-      continue;
-    }
-    if (c.partial.size() + seg > cap) {
-      // The line just outgrew the limit: stop buffering, start counting.
-      c.discarding = true;
-      c.discarded = c.partial.size();
-      c.partial.clear();
-      c.last_cr = false;
-      continue;  // Re-enters the discard branch on the same bytes.
-    }
-    c.partial.append(data + i, seg);
-    if (nl == nullptr) {
-      i = n;
-      continue;
-    }
-    i += seg + 1;
-    enqueue_line(c, std::move(c.partial));
-    c.partial.clear();
-  }
-}
-
 void SocketServer::read_from(const std::shared_ptr<Conn>& c) {
   char buf[16384];
   for (;;) {
@@ -391,23 +305,12 @@ void SocketServer::read_from(const std::shared_ptr<Conn>& c) {
     if (n > 0) {
       bytes_in_.fetch_add(static_cast<std::uint64_t>(n),
                           std::memory_order_relaxed);
-      feed(*c, buf, static_cast<std::size_t>(n));
+      c->framer.feed(buf, static_cast<std::size_t>(n));
       continue;
     }
     if (n == 0) {
       c->eof = true;
-      // getline parity: a final unterminated line still counts.
-      if (c->discarding) {
-        Conn::Item item;
-        item.arrival_ns = steady_now_ns();
-        item.oversized_bytes = c->discarded - (c->last_cr ? 1 : 0);
-        const std::scoped_lock lock(c->mu);
-        c->pending.push_back(std::move(item));
-        c->discarding = false;
-      } else if (!c->partial.empty()) {
-        enqueue_line(*c, std::move(c->partial));
-        c->partial.clear();
-      }
+      c->framer.finish();
       break;
     }
     if (errno == EINTR) continue;

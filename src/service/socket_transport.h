@@ -4,12 +4,12 @@
 //
 // Architecture — one event loop, E executors, one shared SessionStore:
 //
-//   * The event-loop thread owns every fd: non-blocking accept,
-//     per-connection read buffers (newline framing, with the
-//     max_request_bytes cap enforced *while reading*, so an oversized
-//     line costs bounded memory and still gets its structured
-//     `oversized` envelope), and non-blocking writes from bounded
-//     per-connection output queues.
+//   * The event-loop thread owns every fd: non-blocking accept and
+//     reads, and non-blocking writes from bounded per-connection output
+//     queues.  Each connection frames its bytes through its own
+//     LineFramer (service/line_framer.h), the framer serve_stream uses,
+//     so an oversized line costs bounded memory and still gets its
+//     structured `oversized` envelope.
 //   * Each connection owns a Service instance — its own seq space,
 //     batch scheduler and response queue — so a connection's response
 //     bytes are exactly what the same request lines would produce over
@@ -171,11 +171,10 @@ class SocketServer {
   void executor_loop();
   void accept_pending();
   void read_from(const std::shared_ptr<Conn>& c);
-  void feed(Conn& c, const char* data, std::size_t n);
-  void enqueue_line(Conn& c, std::string line);
   void write_to(const std::shared_ptr<Conn>& c);
   void maybe_dispatch(const std::shared_ptr<Conn>& c);
   void retire(const std::shared_ptr<Conn>& c);
+  void add_counters(obs::MetricRegistry& m) const;
   void publish_counters();
 
   SocketServerConfig cfg_;

@@ -129,35 +129,29 @@ ShardId ShardedAnalyzer::apply_merge(const std::vector<ShardId>& members,
     unhealthy_.insert(target);
     return target;
   }
-  ShardId target;
-  if (members.empty()) {
-    target = next_id_++;
-    shards_.emplace(target, Shard{});
-  } else {
-    // The merged shard keeps the cache lineage of its largest member (tie:
-    // oldest id): that member's flows are a subset of the merged set, so
-    // its cached table warm-starts the merged analysis soundly.
-    target = members.front();
-    std::size_t best = shard_at(target).names.size();
-    for (const ShardId id : members) {
-      const std::size_t n = shard_at(id).names.size();
-      if (n > best) {
-        best = n;
-        target = id;
-      }
+  // The merged shard keeps the cache lineage of its largest member (tie:
+  // oldest id): that member's flows are a subset of the merged set, so
+  // its cached table warm-starts the merged analysis soundly.
+  ShardId target = members.front();
+  std::size_t best = shard_at(target).names.size();
+  for (const ShardId id : members) {
+    const std::size_t n = shard_at(id).names.size();
+    if (n > best) {
+      best = n;
+      target = id;
     }
-    for (const ShardId id : members) {
-      if (id == target) continue;
-      Shard& absorbed = shard_at(id);
-      Shard& tgt = shard_at(target);
-      tgt.names.insert(tgt.names.end(), absorbed.names.begin(),
-                       absorbed.names.end());
-      for (const std::string& name : absorbed.names) shard_of_[name] = target;
-      ++stats_.merges;
-      shards_.erase(id);
-      dirty_.erase(id);
-      unhealthy_.erase(id);
-    }
+  }
+  for (const ShardId id : members) {
+    if (id == target) continue;
+    Shard& absorbed = shard_at(id);
+    Shard& tgt = shard_at(target);
+    tgt.names.insert(tgt.names.end(), absorbed.names.begin(),
+                     absorbed.names.end());
+    for (const std::string& name : absorbed.names) shard_of_[name] = target;
+    ++stats_.merges;
+    shards_.erase(id);
+    dirty_.erase(id);
+    unhealthy_.erase(id);
   }
   flows_.insert_or_assign(flow.name(), flow);
   shard_of_[flow.name()] = target;

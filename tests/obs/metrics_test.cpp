@@ -1,12 +1,12 @@
 // Tests of the deterministic metric registry (obs/metrics.h): the five
 // metric kinds, their merge semantics, the series capacity guard, and the
-// JSON dump (checked by round-tripping through obs/json.h).
+// JSON dump (checked by round-tripping through base/json.h).
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "obs/json.h"
+#include "base/json.h"
 #include "obs/metrics.h"
 
 namespace tfa::obs {

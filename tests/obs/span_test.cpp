@@ -7,7 +7,7 @@
 #include <memory>
 #include <utility>
 
-#include "obs/json.h"
+#include "base/json.h"
 #include "obs/span.h"
 #include "obs/telemetry.h"
 

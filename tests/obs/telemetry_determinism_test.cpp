@@ -9,10 +9,10 @@
 #include <utility>
 #include <vector>
 
+#include "base/json.h"
 #include "base/rng.h"
 #include "model/generators.h"
 #include "model/paper_example.h"
-#include "obs/json.h"
 #include "obs/telemetry.h"
 #include "trajectory/analysis.h"
 
@@ -112,15 +112,15 @@ TEST(TelemetryDeterminism, ConvergenceSeriesArePopulated) {
 
 TEST(TelemetryDeterminism, ExportsRoundTripThroughStrictJson) {
   AnalysisRun run = analyze_with_workers(model::paper_example(), 1);
-  const auto metrics = obs::json_parse(run.telemetry.metrics.to_json());
+  const auto metrics = json_parse(run.telemetry.metrics.to_json());
   ASSERT_TRUE(metrics.has_value());
   EXPECT_NE(metrics->find("counters"), nullptr);
   EXPECT_NE(metrics->find("series"), nullptr);
 
   const auto trace =
-      obs::json_parse(run.telemetry.trace.chrome_trace_json());
+      json_parse(run.telemetry.trace.chrome_trace_json());
   ASSERT_TRUE(trace.has_value());
-  const obs::JsonValue* events = trace->find("traceEvents");
+  const JsonValue* events = trace->find("traceEvents");
   ASSERT_NE(events, nullptr);
   EXPECT_FALSE(events->array.empty());
 }
