@@ -10,8 +10,7 @@
 //   tfa_tool generate <seed> [flows] [nodes]   emit a random set (text format)
 //   tfa_tool fuzz     [cases] [seed] [workers]  differential property sweep
 //                     [--corpus DIR]            (write shrunk repros to DIR)
-//   tfa_tool serve    [--workers N] [--max-batch N]
-//                     [--tcp PORT | --unix PATH]
+//   tfa_tool serve    [--workers N] [--tcp PORT | --unix PATH]
 //                     [--max-conns N] [--executors N]
 //                     [--event-log PATH [--event-log-level LVL]
 //                      [--event-sample N]] [--slow-ms N]
@@ -82,8 +81,7 @@ int usage() {
       "                      [--what-if \"flow ...\"]\n"
       "       tfa_tool generate <seed> [flows] [nodes]\n"
       "       tfa_tool fuzz [cases] [seed] [workers] [--corpus DIR]\n"
-      "       tfa_tool serve [--workers N] [--max-batch N]\n"
-      "                      [--tcp PORT | --unix PATH]\n"
+      "       tfa_tool serve [--workers N] [--tcp PORT | --unix PATH]\n"
       "                      [--max-conns N] [--executors N]\n"
       "                      [--event-log PATH [--event-log-level LVL]\n"
       "                       [--event-sample N]] [--slow-ms N]\n"
@@ -384,7 +382,6 @@ int main(int argc, char** argv) {
       opts.value("--capacity");
   const std::optional<std::string> provision_what_if = opts.value("--what-if");
   const std::optional<std::string> serve_workers = opts.value("--workers");
-  const std::optional<std::string> serve_batch = opts.value("--max-batch");
   const std::optional<std::string> serve_tcp = opts.value("--tcp");
   const std::optional<std::string> serve_unix = opts.value("--unix");
   const std::optional<std::string> serve_conns = opts.value("--max-conns");
@@ -435,9 +432,6 @@ int main(int argc, char** argv) {
     if (serve_workers)
       svc_cfg.workers =
           static_cast<std::size_t>(std::atoi(serve_workers->c_str()));
-    if (serve_batch)
-      if (const int b = std::atoi(serve_batch->c_str()); b > 0)
-        svc_cfg.max_batch = static_cast<std::size_t>(b);
     if (serve_slow_ms)
       svc_cfg.slow_request_ns =
           std::atoll(serve_slow_ms->c_str()) * 1'000'000;

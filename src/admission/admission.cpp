@@ -1,5 +1,6 @@
 #include "admission/admission.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "base/contracts.h"
@@ -91,9 +92,14 @@ Decision evaluate(const model::FlowSet& admitted,
   }
 
   if (!ok) {
+    // Name the smallest violating name, not the first in `admitted`'s
+    // order: the shard-routed gate sees flows in name order, and both
+    // gates must word a rejection identically.
     d.reason = d.violating.empty()
                    ? "analysis did not converge"
-                   : "deadline miss certified for: " + d.violating.front();
+                   : "deadline miss certified for: " +
+                         *std::min_element(d.violating.begin(),
+                                           d.violating.end());
     return d;
   }
   d.admitted = true;
@@ -134,11 +140,7 @@ bool AdmissionController::release(std::string_view name) {
     const auto removed = sharded_->remove_flow(name);
     TFA_ASSERT(removed.has_value());
   }
-  model::FlowSet next(set_.network());
-  for (std::size_t i = 0; i < set_.size(); ++i)
-    if (static_cast<FlowIndex>(i) != *idx)
-      next.add(set_.flow(static_cast<FlowIndex>(i)));
-  set_ = std::move(next);
+  set_.erase(*idx);
   return true;
 }
 

@@ -34,7 +34,9 @@ enum class AnalysisKind {
 /// Outcome of one admission request.
 struct Decision {
   bool admitted = false;
-  std::string reason;  ///< Human-readable explanation.
+  /// Human-readable explanation; a deadline-miss rejection names the
+  /// violating flow with the smallest name.
+  std::string reason;
   /// Names of flows whose deadline the newcomer would break (possibly
   /// including the newcomer itself).
   std::vector<std::string> violating;

@@ -27,6 +27,11 @@ void FlowSet::insert(std::size_t pos, SporadicFlow flow) {
                 std::move(flow));
 }
 
+void FlowSet::erase(FlowIndex i) {
+  TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < flows_.size());
+  flows_.erase(flows_.begin() + i);
+}
+
 const SporadicFlow& FlowSet::flow(FlowIndex i) const {
   TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < flows_.size());
   return flows_[static_cast<std::size_t>(i)];

@@ -42,6 +42,10 @@ class FlowSet {
   /// up by one.  Used by the sharded layer's sorted single-flow insert.
   void insert(std::size_t pos, SporadicFlow flow);
 
+  /// Removes flow `i`, shifting later flows down by one: the survivors
+  /// keep their order.
+  void erase(FlowIndex i);
+
   [[nodiscard]] std::size_t size() const noexcept { return flows_.size(); }
   [[nodiscard]] bool empty() const noexcept { return flows_.empty(); }
 

@@ -48,11 +48,6 @@ class LineFramer {
   /// Ends the stream: emits the unterminated last line, if any.
   void finish();
 
-  /// True while a line has begun but its newline has not arrived.
-  [[nodiscard]] bool mid_line() const noexcept {
-    return !line_.empty() || dropped_ > 0;
-  }
-
   /// Bytes held for the current line; never above max_request_bytes + 1.
   [[nodiscard]] std::size_t buffered() const noexcept { return line_.size(); }
 

@@ -7,7 +7,6 @@ namespace tfa::service {
 std::vector<std::string> Loopback::roundtrip(
     const std::vector<std::string>& lines) {
   for (const std::string& line : lines) service_.submit(line);
-  service_.flush();
   std::vector<std::string> out;
   while (auto r = service_.next_response()) out.push_back(std::move(*r));
   return out;

@@ -17,13 +17,13 @@ class Loopback {
   explicit Loopback(ServiceConfig cfg = {}, obs::Telemetry* telemetry = nullptr)
       : service_(std::move(cfg), telemetry) {}
 
-  /// Submits every line, closes the batch, and returns all completed
-  /// responses in sequence order (one per submitted line, plus any that
-  /// were still queued from earlier submits).
+  /// Submits every line and returns all completed responses in sequence
+  /// order (one per submitted line, plus any that were still queued from
+  /// earlier submits).
   std::vector<std::string> roundtrip(const std::vector<std::string>& lines);
 
   /// Single request/response convenience.  Call on an idle loopback (no
-  /// queued analyzes); returns the response to `line`.
+  /// unread responses); returns the response to `line`.
   std::string request(std::string_view line);
 
   [[nodiscard]] Service& service() noexcept { return service_; }

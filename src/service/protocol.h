@@ -44,21 +44,21 @@ enum class Op {
   kLoadNetwork,  ///< Create a session from flow-set text.
   kAddFlow,      ///< Append one flow line to a session.
   kRemoveFlow,   ///< Remove a flow by name.
-  kAnalyze,      ///< Worst-case analysis of the session's set (batchable).
+  kAnalyze,      ///< Worst-case analysis of the session's set.
   kAdmit,        ///< Admission test + commit of one candidate flow.
   kSnapshot,     ///< Serialised flow set of a session.
   kProvision,    ///< Buffer-provisioning plan of the session's set.
   kMetrics,      ///< Service-wide deterministic metrics dump.
   kStatsz,       ///< Prometheus-text exposition (deterministic kinds).
-  kFlush,        ///< Barrier: close the open analyze batch.
+  kFlush,        ///< No-op barrier, kept for wire compatibility.
   kShutdown,     ///< Graceful drain: in-flight finish, later requests fail.
 };
 
 /// Wire name of `op` ("load_network", "analyze", ...).
 [[nodiscard]] const char* to_string(Op op) noexcept;
 
-/// Per-request analysis options.  Two analyze requests may share a batch
-/// exactly when their options compare equal (the coalescing key).
+/// Per-request analysis options.  A session's analyzer and analyze memo
+/// are valid for the options they were computed under.
 struct AnalyzeOptions {
   bool ef_mode = false;
   trajectory::SmaxSemantics smax = trajectory::SmaxSemantics::kArrival;

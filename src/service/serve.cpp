@@ -45,14 +45,9 @@ ServeResult serve_stream(std::istream& in, std::ostream& out,
   char buf[16384];
   while (const std::size_t n = read_chunk(in, buf, sizeof buf)) {
     framer.feed(buf, n);
-    // Close the batch when the input runs dry at a line boundary: a
-    // client that stops to read gets its analyze answered now, while a
-    // piped burst keeps coalescing.
-    if (!framer.mid_line() && in.rdbuf()->in_avail() <= 0) service.flush();
     drain(out, service);
   }
   framer.finish();
-  service.flush();
   drain(out, service);
   result.shutdown = service.draining();
   return result;

@@ -21,11 +21,10 @@ struct ServeResult {
 /// (service/line_framer.h), the framer the socket transport uses too:
 /// blank lines consume no sequence number, and a line longer than
 /// ServiceConfig::max_request_bytes is answered with the `oversized`
-/// error envelope without being buffered whole.  The open analyze batch
-/// is closed whenever the input buffer runs dry at a line boundary — an
-/// interactive client gets its answer without having to send `flush` —
-/// and at EOF.  EOF after `shutdown` is the graceful-drain exit; plain
-/// EOF drains the same way.
+/// error envelope without being buffered whole.  Every request is
+/// answered as soon as its line is complete, so an interactive client
+/// never waits on later input.  EOF after `shutdown` is the
+/// graceful-drain exit; plain EOF drains the same way.
 ServeResult serve_stream(std::istream& in, std::ostream& out,
                          Service& service);
 

@@ -1,8 +1,6 @@
 #include "service/service.h"
 
-#include <algorithm>
 #include <chrono>
-#include <map>
 #include <mutex>
 #include <utility>
 
@@ -27,10 +25,6 @@ std::int64_t steady_now_ns() {
 std::vector<std::int64_t> latency_bounds() {
   // Microsecond buckets: sub-100us (memo hits) up to >10s overflow.
   return {100, 1'000, 10'000, 100'000, 1'000'000, 10'000'000};
-}
-
-std::vector<std::int64_t> occupancy_bounds() {
-  return {1, 2, 4, 8, 16, 32, 64};
 }
 
 /// Parses one `flow ...` line against `net` by round-tripping through the
@@ -136,7 +130,6 @@ Service::Service(ServiceConfig cfg, obs::Telemetry* telemetry)
       store_(owned_store_.get()),
       telemetry_(telemetry) {
   if (!cfg_.clock) cfg_.clock = steady_now_ns;
-  if (cfg_.max_batch == 0) cfg_.max_batch = 1;
   // The service registry is long-lived like a session's: cap its series.
   if (telemetry_ != nullptr) telemetry_->metrics.set_series_capacity(4096);
 }
@@ -146,7 +139,6 @@ Service::Service(ServiceConfig cfg, obs::Telemetry* telemetry,
     : cfg_(std::move(cfg)), store_(shared), telemetry_(telemetry) {
   TFA_EXPECTS(shared != nullptr);
   if (!cfg_.clock) cfg_.clock = steady_now_ns;
-  if (cfg_.max_batch == 0) cfg_.max_batch = 1;
   if (telemetry_ != nullptr) telemetry_->metrics.set_series_capacity(4096);
 }
 
@@ -254,8 +246,6 @@ std::optional<std::string> Service::next_response() {
   return line;
 }
 
-void Service::flush() { close_batch(); }
-
 void Service::submit(std::string_view line) {
   submit_at(line, cfg_.clock(), /*transport_stamped=*/false);
 }
@@ -268,7 +258,6 @@ void Service::submit_oversized(std::size_t bytes) {
   const std::uint64_t seq = ++seq_;
   const std::int64_t start = cfg_.clock();
   bump("service.requests");
-  close_batch();
   RequestMeta meta;
   meta.bytes = bytes;
   // Ordered like the in-band size gate: before the draining check, so a
@@ -286,7 +275,6 @@ void Service::submit_at(std::string_view line, std::int64_t start,
 
   // Size gate before parsing: an oversized line is rejected unread.
   if (line.size() > cfg_.max_request_bytes) {
-    close_batch();
     respond_error(seq, "", "", generated_trace(seq),
                   oversized_error(line.size(), cfg_.max_request_bytes), start,
                   meta);
@@ -309,7 +297,6 @@ void Service::submit_at(std::string_view line, std::int64_t start,
   }
 
   if (!p.ok) {
-    close_batch();
     respond_error(seq, p.id_json, p.op_text, trace, p.error, start, meta);
     return;
   }
@@ -317,32 +304,13 @@ void Service::submit_at(std::string_view line, std::int64_t start,
   if (telemetry_ != nullptr)
     ++telemetry_->metrics.counter("service.op." + p.op_text);
 
-  if (p.request.op == Op::kAnalyze) {
-    // Coalesce: equal options join the open batch, different options
-    // close it first (FIFO order is preserved either way).
-    if (!batch_.empty() && !(batch_opts_ == p.request.analyze)) close_batch();
-    batch_opts_ = p.request.analyze;
-    PendingAnalyze pending;
-    pending.seq = seq;
-    pending.id_json = p.id_json;
-    pending.trace = trace;
-    pending.session = p.request.session;
-    pending.bytes = line.size();
-    pending.submitted_ns = start;
-    pending.deadline_ms = p.request.deadline_ms;
-    batch_.push_back(std::move(pending));
-    if (batch_.size() >= cfg_.max_batch) close_batch();
-    return;
-  }
-
-  // An immediate op whose deadline already expired while the request sat
-  // in the transport (only observable with a transport arrival stamp —
-  // in the unstamped path `start` is the current clock reading, so the
-  // elapsed time is zero by construction).
+  // A request whose deadline already expired while it sat in the
+  // transport (only observable with a transport arrival stamp — in the
+  // unstamped path `start` is the current clock reading, so the elapsed
+  // time is zero by construction).
   if (transport_stamped && p.request.deadline_ms) {
     const std::int64_t waited = cfg_.clock() - start;
     if (waited > *p.request.deadline_ms * 1'000'000) {
-      close_batch();
       WireError e;
       e.code = "deadline_exceeded";
       e.message = "request waited " + std::to_string(waited / 1'000'000) +
@@ -353,160 +321,7 @@ void Service::submit_at(std::string_view line, std::int64_t start,
     }
   }
 
-  close_batch();
   execute(p.request, p.op_text, seq, p.id_json, trace, line.size(), start);
-}
-
-void Service::close_batch() {
-  if (batch_.empty()) {
-    last_batch_ = 0;
-    return;
-  }
-  std::vector<PendingAnalyze> batch;
-  batch.swap(batch_);
-  last_batch_ = batch.size();
-
-  obs::Span batch_span = obs::span(telemetry_, "service.analyze_batch");
-  const std::int64_t now = cfg_.clock();
-  if (telemetry_ != nullptr)
-    telemetry_->metrics.histogram("service.batch_occupancy", occupancy_bounds())
-        .record(static_cast<std::int64_t>(batch.size()));
-
-  // Triage each request, deduplicating engine work: one job per distinct
-  // session (all requests in a batch share the options, so they would
-  // compute the same answer), and none at all on a memo hit.
-  struct Slot {
-    bool failed = false;
-    WireError error;
-    Session* session = nullptr;
-    bool cached = false;  ///< Memo hit, or duplicate of a job in this batch.
-    std::size_t job = SIZE_MAX;
-  };
-  std::vector<Slot> slots(batch.size());
-  std::vector<Session*> job_sessions;
-  std::vector<std::string> job_traces;  ///< Trace of the job's first request.
-  std::map<std::string, std::size_t, std::less<>> job_of_session;
-
-  // Resolve deadlines and session addresses first, without any session
-  // lock held.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingAnalyze& p = batch[i];
-    Slot& s = slots[i];
-    if (p.deadline_ms &&
-        now - p.submitted_ns > *p.deadline_ms * 1'000'000) {
-      s.failed = true;
-      s.error.code = "deadline_exceeded";
-      s.error.message = "request waited " +
-                        std::to_string((now - p.submitted_ns) / 1'000'000) +
-                        " ms, past its " + std::to_string(*p.deadline_ms) +
-                        " ms deadline";
-      continue;
-    }
-    s.session = store_->find(p.session);
-    if (s.session == nullptr) {
-      s.failed = true;
-      s.error.code = "unknown_session";
-      s.error.message = "no session named '" + p.session + "'";
-    }
-  }
-
-  // Lock every distinct involved session for the rest of the batch —
-  // triage reads the sets, the analyzers run against them, and the memo
-  // refresh writes them.  Locking in name order (names are unique, so
-  // this is a total order) keeps rival connections whose batches overlap
-  // free of deadlock; see service/session.h.
-  std::vector<Session*> involved;
-  for (const Slot& s : slots)
-    if (s.session != nullptr) involved.push_back(s.session);
-  std::sort(involved.begin(), involved.end(),
-            [](const Session* a, const Session* b) { return a->name < b->name; });
-  involved.erase(std::unique(involved.begin(), involved.end()),
-                 involved.end());
-  std::vector<std::unique_lock<std::mutex>> guards;
-  guards.reserve(involved.size());
-  for (Session* sess : involved) guards.emplace_back(sess->mu);
-
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingAnalyze& p = batch[i];
-    Slot& s = slots[i];
-    if (s.failed) continue;
-    Session* sess = s.session;
-    if (sess->set.empty()) {
-      s.failed = true;
-      s.error.code = "empty_session";
-      s.error.message =
-          "session '" + p.session + "' has no flows to analyse";
-      continue;
-    }
-    // Every mutation invalidates the memo, so the options alone key it.
-    if (sess->memo_opts == batch_opts_) {
-      s.cached = true;
-      bump("service.analyze.memo_hits");
-      continue;
-    }
-    const auto [it, inserted] =
-        job_of_session.try_emplace(p.session, job_sessions.size());
-    if (inserted) {
-      job_sessions.push_back(sess);
-      job_traces.push_back(p.trace);
-    } else {
-      // Duplicate of a job already in this batch: answered from the same
-      // result, and reported `cached` exactly like a memo hit — so the
-      // response bytes cannot depend on where batch boundaries fell.
-      s.cached = true;
-      bump("service.analyze.memo_hits");
-    }
-    s.job = it->second;
-  }
-
-  // One job per session: settle the session analyzer's dirty shards (the
-  // settle fans them out over the workers itself), then merge every
-  // shard's standing result into the session's flow order and memoise
-  // the rendering.  The wire stats are the work this settle performed —
-  // zeros when nothing was dirty.  The session tracer carries the trace
-  // of the request that created the job, so the shard runs' engine spans
-  // are attributable to one wire request.
-  std::vector<std::size_t> passes(job_sessions.size());
-  trajectory::EngineStats total;
-  for (std::size_t j = 0; j < job_sessions.size(); ++j) {
-    Session& sess = *job_sessions[j];
-    trajectory::ShardedAnalyzer& sharded = analyzer(sess, batch_opts_);
-    trajectory::EngineStats work;
-    trajectory::Result r;
-    {
-      const TraceContextGuard session_ctx(&sess.telemetry.trace,
-                                          job_traces[j]);
-      sharded.settle(&work);
-      r = sharded.result(sess.set);
-    }
-    r.stats = work;
-    sess.memo_opts = batch_opts_;
-    sess.memo_fragment = render_analyze_fragment(sess.set, r);
-    passes[j] = work.smax_passes;
-    total.merge(work);
-    ++sess.analyzes;
-  }
-  if (telemetry_ != nullptr && !job_sessions.empty())
-    trajectory::publish_stats(total, telemetry_->metrics);
-
-  // Respond in arrival order — the scheduler never reorders the wire.
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const PendingAnalyze& p = batch[i];
-    const Slot& s = slots[i];
-    RequestMeta meta;
-    meta.bytes = p.bytes;
-    if (s.failed) {
-      respond_error(p.seq, p.id_json, "analyze", p.trace, s.error,
-                    p.submitted_ns, meta);
-      continue;
-    }
-    if (!s.cached && s.job != SIZE_MAX) meta.smax_passes = passes[s.job];
-    std::string result = s.cached ? "{\"cached\":true," : "{\"cached\":false,";
-    result += s.session->memo_fragment;
-    result += '}';
-    respond_ok(p.seq, p.id_json, "analyze", p.trace, result, p.submitted_ns,
-               meta);
-  }
 }
 
 trajectory::ShardedAnalyzer& Service::analyzer(Session& sess,
@@ -536,11 +351,24 @@ void Service::execute(const Request& r, const std::string& op_text,
   const TraceContextGuard trace_ctx(
       telemetry_ != nullptr ? &telemetry_->trace : nullptr, trace);
   obs::Span op_span = obs::span(telemetry_, "service." + op_text);
-  WireError e;
+  const auto fail = [&](std::string code, std::string message) {
+    WireError e;
+    e.code = std::move(code);
+    e.message = std::move(message);
+    respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+  };
+  // The addressed session; a miss is answered with `unknown_session`.
+  const auto lookup = [&]() -> Session* {
+    Session* sess = store_->find(r.session);
+    if (sess == nullptr)
+      fail("unknown_session", "no session named '" + r.session + "'");
+    return sess;
+  };
   switch (r.op) {
     case Op::kLoadNetwork: {
       const model::ParseResult parsed = model::parse_flow_set(r.text);
       if (!parsed.ok()) {
+        WireError e;
         e.code = "bad_flow_set";
         e.message = parsed.located_error();
         e.line = parsed.error_line;
@@ -548,26 +376,23 @@ void Service::execute(const Request& r, const std::string& op_text,
         return;
       }
       if (const auto issues = parsed.flow_set->validate(); !issues.empty()) {
-        e.code = "invalid_flow_set";
-        e.message = issues.front().message;
+        std::string message = issues.front().message;
         if (issues.size() > 1)
-          e.message +=
+          message +=
               " (+" + std::to_string(issues.size() - 1) + " more issue(s))";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+        fail("invalid_flow_set", std::move(message));
         return;
       }
       Session* sess = nullptr;
       switch (store_->create(r.session, &sess)) {
         case SessionStore::Create::kDuplicate:
-          e.code = "duplicate_session";
-          e.message = "a session named '" + r.session + "' already exists";
-          respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+          fail("duplicate_session",
+               "a session named '" + r.session + "' already exists");
           return;
         case SessionStore::Create::kFull:
-          e.code = "too_many_sessions";
-          e.message = "session limit of " +
-                      std::to_string(store_->capacity()) + " reached";
-          respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+          fail("too_many_sessions", "session limit of " +
+                                        std::to_string(store_->capacity()) +
+                                        " reached");
           return;
         case SessionStore::Create::kCreated:
           break;
@@ -590,36 +415,68 @@ void Service::execute(const Request& r, const std::string& op_text,
       respond_ok(seq, id_json, op_text, trace, result, start_ns, meta);
       return;
     }
-    case Op::kAddFlow: {
-      Session* sess = store_->find(r.session);
-      if (sess == nullptr) {
-        e.code = "unknown_session";
-        e.message = "no session named '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+    case Op::kAnalyze: {
+      Session* sess = lookup();
+      if (sess == nullptr) return;
+      const std::scoped_lock session_lock(sess->mu);
+      if (sess->set.empty()) {
+        fail("empty_session",
+             "session '" + r.session + "' has no flows to analyse");
         return;
       }
+      // Every mutation invalidates the memo, so the options alone key it.
+      const bool cached = sess->memo_opts == r.analyze;
+      if (cached) {
+        bump("service.analyze.memo_hits");
+      } else {
+        // Settle the dirty shards only (the settle fans them out over the
+        // workers), then merge every shard's standing result into the
+        // session's flow order.  The wire stats are the work this settle
+        // performed — zeros when nothing was dirty.  The session tracer
+        // carries this request's trace through the shard runs.
+        trajectory::ShardedAnalyzer& sharded = analyzer(*sess, r.analyze);
+        trajectory::EngineStats work;
+        trajectory::Result res;
+        {
+          const TraceContextGuard session_ctx(&sess->telemetry.trace, trace);
+          sharded.settle(&work);
+          res = sharded.result(sess->set);
+        }
+        res.stats = work;
+        sess->memo_opts = r.analyze;
+        sess->memo_fragment = render_analyze_fragment(sess->set, res);
+        ++sess->analyzes;
+        meta.smax_passes = work.smax_passes;
+        if (telemetry_ != nullptr)
+          trajectory::publish_stats(work, telemetry_->metrics);
+      }
+      std::string result =
+          cached ? "{\"cached\":true," : "{\"cached\":false,";
+      result += sess->memo_fragment;
+      result += '}';
+      respond_ok(seq, id_json, op_text, trace, result, start_ns, meta);
+      return;
+    }
+    case Op::kAddFlow: {
+      Session* sess = lookup();
+      if (sess == nullptr) return;
       const std::scoped_lock session_lock(sess->mu);
       std::string why;
       const auto flow = parse_flow_line(sess->set.network(), r.flow, &why);
       if (!flow) {
-        e.code = "bad_flow_set";
-        e.message = why;
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+        fail("bad_flow_set", why);
         return;
       }
       if (sess->set.find(flow->name())) {
-        e.code = "duplicate_flow";
-        e.message = "a flow named '" + flow->name() +
-                    "' already exists in session '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+        fail("duplicate_flow", "a flow named '" + flow->name() +
+                                   "' already exists in session '" +
+                                   r.session + "'");
         return;
       }
       model::FlowSet tentative = sess->set;
       tentative.add(*flow);
       if (const auto issues = tentative.validate(); !issues.empty()) {
-        e.code = "invalid_flow_set";
-        e.message = issues.front().message;
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+        fail("invalid_flow_set", issues.front().message);
         return;
       }
       sess->set = std::move(tentative);
@@ -631,27 +488,16 @@ void Service::execute(const Request& r, const std::string& op_text,
       return;
     }
     case Op::kRemoveFlow: {
-      Session* sess = store_->find(r.session);
-      if (sess == nullptr) {
-        e.code = "unknown_session";
-        e.message = "no session named '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      Session* sess = lookup();
+      if (sess == nullptr) return;
       const std::scoped_lock session_lock(sess->mu);
       const auto idx = sess->set.find(r.name);
       if (!idx) {
-        e.code = "unknown_flow";
-        e.message = "no flow named '" + r.name + "' in session '" +
-                    r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+        fail("unknown_flow", "no flow named '" + r.name + "' in session '" +
+                                 r.session + "'");
         return;
       }
-      model::FlowSet next(sess->set.network());
-      for (std::size_t i = 0; i < sess->set.size(); ++i)
-        if (static_cast<FlowIndex>(i) != *idx)
-          next.add(sess->set.flow(static_cast<FlowIndex>(i)));
-      sess->set = std::move(next);
+      sess->set.erase(*idx);
       sess->sharded->remove_flow(r.name);
       sess->invalidate_memo();
       respond_ok(seq, id_json, op_text, trace,
@@ -660,20 +506,13 @@ void Service::execute(const Request& r, const std::string& op_text,
       return;
     }
     case Op::kAdmit: {
-      Session* sess = store_->find(r.session);
-      if (sess == nullptr) {
-        e.code = "unknown_session";
-        e.message = "no session named '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      Session* sess = lookup();
+      if (sess == nullptr) return;
       const std::scoped_lock session_lock(sess->mu);
       std::string why;
       const auto flow = parse_flow_line(sess->set.network(), r.flow, &why);
       if (!flow) {
-        e.code = "bad_flow_set";
-        e.message = why;
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+        fail("bad_flow_set", why);
         return;
       }
       // Shard-routed admission: the admit analyses only the shards the
@@ -722,13 +561,8 @@ void Service::execute(const Request& r, const std::string& op_text,
       return;
     }
     case Op::kSnapshot: {
-      Session* sess = store_->find(r.session);
-      if (sess == nullptr) {
-        e.code = "unknown_session";
-        e.message = "no session named '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      Session* sess = lookup();
+      if (sess == nullptr) return;
       const std::scoped_lock session_lock(sess->mu);
       const std::size_t shards =
           sess->sharded ? sess->sharded->shard_count() : 0;
@@ -741,19 +575,12 @@ void Service::execute(const Request& r, const std::string& op_text,
       return;
     }
     case Op::kProvision: {
-      Session* sess = store_->find(r.session);
-      if (sess == nullptr) {
-        e.code = "unknown_session";
-        e.message = "no session named '" + r.session + "'";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-        return;
-      }
+      Session* sess = lookup();
+      if (sess == nullptr) return;
       const std::scoped_lock session_lock(sess->mu);
       if (sess->set.empty()) {
-        e.code = "empty_session";
-        e.message =
-            "session '" + r.session + "' has no flows to provision";
-        respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+        fail("empty_session",
+             "session '" + r.session + "' has no flows to provision");
         return;
       }
       provision::Config pcfg;
@@ -763,9 +590,7 @@ void Service::execute(const Request& r, const std::string& op_text,
         std::string why;
         probe = parse_flow_line(sess->set.network(), r.flow, &why);
         if (!probe) {
-          e.code = "bad_flow_set";
-          e.message = why;
-          respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
+          fail("bad_flow_set", why);
           return;
         }
       }
@@ -852,13 +677,8 @@ void Service::execute(const Request& r, const std::string& op_text,
       opts.deterministic_only = true;
       std::string text;
       if (!r.session.empty()) {
-        Session* sess = store_->find(r.session);
-        if (sess == nullptr) {
-          e.code = "unknown_session";
-          e.message = "no session named '" + r.session + "'";
-          respond_error(seq, id_json, op_text, trace, e, start_ns, meta);
-          return;
-        }
+        Session* sess = lookup();
+        if (sess == nullptr) return;
         // Rendered straight from the session registry: no copy of its
         // series, which grow with every shard run.
         const std::scoped_lock session_lock(sess->mu);
@@ -879,9 +699,10 @@ void Service::execute(const Request& r, const std::string& op_text,
       return;
     }
     case Op::kFlush: {
-      respond_ok(seq, id_json, op_text, trace,
-                 "{\"flushed\":" + std::to_string(last_batch_) + "}",
-                 start_ns, meta);
+      // Kept for wire compatibility: requests execute on arrival, so
+      // there is never anything queued to flush.
+      respond_ok(seq, id_json, op_text, trace, "{\"flushed\":0}", start_ns,
+                 meta);
       return;
     }
     case Op::kShutdown: {
@@ -892,8 +713,6 @@ void Service::execute(const Request& r, const std::string& op_text,
                  start_ns, meta);
       return;
     }
-    case Op::kAnalyze:
-      break;  // handled by the batching path in submit()
   }
   TFA_ASSERT(false);
 }

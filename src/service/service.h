@@ -8,12 +8,12 @@
 // a fixed key order and all scheduling-dependent values are kept off
 // the wire.
 //
-// Request scheduling: consecutive `analyze` requests whose options
-// compare equal coalesce into one batch; the batch closes when a
-// different request arrives, when it reaches ServiceConfig::max_batch,
-// or on flush()/`flush`.  A closed batch runs one job per distinct
-// session: the session's trajectory::ShardedAnalyzer settles its dirty
-// shards only (fanned out over ServiceConfig::workers) and merges every
+// Request execution: every request, `analyze` included, executes on
+// arrival and is answered before submit() returns, so responses leave
+// in request order.  An `analyze` answers from the session's memo when
+// nothing changed since the last one under the same options; otherwise
+// the session's trajectory::ShardedAnalyzer settles its dirty shards
+// only (fanned out over ServiceConfig::workers) and merges every
 // shard's result into the session's flow order — bit-identical to a
 // global analysis of the set, and bit-identical for every worker count
 // (pinned by tests/service/determinism_test.cpp and
@@ -22,7 +22,7 @@
 //
 // Shared-store mode: the socket transport
 // (service/socket_transport.h) gives every connection its own Service
-// — its own seq space, batch scheduler and output queue — over one
+// — its own seq space and output queue — over one
 // shared SessionStore, so each connection's response bytes match what
 // the same request sequence would produce over stdio.  In that mode
 // requests for different sessions execute truly concurrently; the
@@ -43,7 +43,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "service/protocol.h"
 #include "service/session.h"
@@ -58,12 +57,9 @@ namespace tfa::service {
 
 /// Tuning knobs of one Service instance.
 struct ServiceConfig {
-  /// Threads the analyze-batch fan-out may use (0 = hardware default).
-  /// Never affects response bytes.
+  /// Threads an analyze's or admit's shard runs may use (0 = hardware
+  /// default).  Never affects response bytes.
   std::size_t workers = 1;
-
-  /// Analyze requests coalesced into one batch at most.
-  std::size_t max_batch = 64;
 
   /// Hard per-request size limit; longer lines are answered with an
   /// `oversized` error without being parsed.
@@ -73,15 +69,16 @@ struct ServiceConfig {
   std::size_t max_sessions = 64;
 
   /// Base analysis configuration.  Per-request options override ef_mode
-  /// and smax_semantics; the scheduler owns the worker count.
+  /// and smax_semantics; `workers` above sets the worker count.
   trajectory::Config analysis;
 
   /// Nanosecond clock used for deadlines and latency metrics.  Default
   /// is std::chrono::steady_clock; tests inject a counter, which makes
   /// every response — including the `metrics` op — bit-reproducible.
-  /// The service calls it on a fixed schedule (once per submit, once
-  /// per batch close, once per response) precisely so an injected clock
-  /// yields deterministic values.
+  /// The service calls it on a fixed schedule (once per unstamped
+  /// submit, once per deadline check of a transport-stamped request,
+  /// once per response) precisely so an injected clock yields
+  /// deterministic values.
   std::function<std::int64_t()> clock;
 
   /// Structured event log (obs/eventlog.h; may be null, must outlive
@@ -111,12 +108,12 @@ struct RequestMeta {
 
 /// The embeddable service core.  Single-threaded by contract, like the
 /// rest of the observability layer: one thread submits and polls;
-/// parallelism lives inside the batch fan-out.
+/// parallelism lives inside the shard runs.
 class Service {
  public:
   /// `telemetry` (may be null, must outlive the service) receives the
-  /// service-level metrics — request/error counters, latency and
-  /// batch-occupancy histograms, aggregate engine counters — and the
+  /// service-level metrics — request/error counters, the latency
+  /// histogram, aggregate engine counters — and the
   /// per-op spans; it is what `tfa_tool serve` wires to --metrics-out /
   /// --trace-out.
   explicit Service(ServiceConfig cfg = {}, obs::Telemetry* telemetry = nullptr);
@@ -129,17 +126,15 @@ class Service {
   Service(ServiceConfig cfg, obs::Telemetry* telemetry, SessionStore* shared);
 
   /// Accepts one request line.  Always consumes one sequence number and
-  /// eventually produces exactly one response; `analyze` responses may
-  /// be deferred until the batch closes, everything else responds
-  /// before submit() returns.
+  /// queues exactly one response before it returns.
   void submit(std::string_view line);
 
   /// Transport-timestamped variant: `arrival_ns` (a value of the
   /// configured clock, taken when the transport finished reading the
   /// line) replaces the clock call submit() would make, so queueing
   /// delay between the socket and the executor counts against
-  /// `deadline_ms`.  This overload consults the clock once itself to
-  /// test already-expired deadlines of immediate (non-analyze) ops.
+  /// `deadline_ms`.  When the request carries a deadline, this overload
+  /// consults the clock once itself to test whether it already expired.
   void submit(std::string_view line, std::int64_t arrival_ns);
 
   /// Emits the `oversized` error envelope for a request line of
@@ -148,15 +143,11 @@ class Service {
   /// docs/service.md, "Limits").
   void submit_oversized(std::size_t bytes);
 
-  /// Closes the open analyze batch (no-op when empty).
-  void flush();
-
   /// Next completed response line in sequence order, if any.
   [[nodiscard]] std::optional<std::string> next_response();
 
-  /// True once a `shutdown` request was served: queued work has been
-  /// flushed and every later submit() is answered with a `draining`
-  /// error.
+  /// True once a `shutdown` request was served: every later submit() is
+  /// answered with a `draining` error.
   [[nodiscard]] bool draining() const noexcept { return draining_; }
 
   /// Requests accepted so far (= last assigned seq).
@@ -166,16 +157,6 @@ class Service {
   [[nodiscard]] const ServiceConfig& config() const noexcept { return cfg_; }
 
  private:
-  struct PendingAnalyze {
-    std::uint64_t seq = 0;
-    std::string id_json;
-    std::string trace;  ///< Resolved trace id (request's or generated).
-    std::string session;
-    std::size_t bytes = 0;
-    std::int64_t submitted_ns = 0;
-    std::optional<std::int64_t> deadline_ms;
-  };
-
   /// One flight-recorder entry.
   struct FlightRecord {
     std::uint64_t seq = 0;
@@ -194,7 +175,6 @@ class Service {
                std::uint64_t seq, const std::string& id_json,
                const std::string& trace, std::size_t bytes,
                std::int64_t start_ns);
-  void close_batch();
   /// The session's analyzer under `opts`: built from the session's set
   /// when missing (load_network), and rebuilt cold when an analyze or
   /// admit asks for other options than it was built under.  Caller holds
@@ -228,10 +208,6 @@ class Service {
 
   std::uint64_t seq_ = 0;
   bool draining_ = false;
-
-  std::vector<PendingAnalyze> batch_;
-  AnalyzeOptions batch_opts_;
-  std::size_t last_batch_ = 0;  ///< Size of the most recently closed batch.
 
   std::deque<std::string> out_;
   std::deque<FlightRecord> flight_;  ///< Last N responses, oldest first.

@@ -9,10 +9,9 @@
 // (create/find/for_each are safe to call from any thread), and every
 // *session's* mutable state is guarded by its `Session::mu` — a caller
 // must hold it across any read or write of the session's set, analyzer,
-// memo or telemetry.  When several sessions are locked together (the
-// analyze-batch path), they are locked in name order, which is a total
-// order because names are unique; single-transport deployments
-// (loopback, stdio) pay only uncontended-lock costs.
+// memo or telemetry.  A request locks at most one session at a time;
+// single-transport deployments (loopback, stdio) pay only
+// uncontended-lock costs.
 #pragma once
 
 #include <cstdint>
@@ -65,7 +64,7 @@ struct Session {
 
   /// Guards everything above except `name` (immutable after creation).
   /// Held by the service for the duration of each request touching this
-  /// session, including the engine run of an analyze batch.
+  /// session, including an analyze's engine run.
   std::mutex mu;
 
   void invalidate_memo() {

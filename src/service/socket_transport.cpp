@@ -485,12 +485,12 @@ void SocketServer::executor_loop() {
 
     // This executor owns c->service until it clears `busy`.
     for (;;) {
-      std::deque<Conn::Item> batch;
+      std::deque<Conn::Item> items;
       {
         const std::scoped_lock lock(c->mu);
-        batch.swap(c->pending);
+        items.swap(c->pending);
       }
-      for (Conn::Item& item : batch) {
+      for (Conn::Item& item : items) {
         if (item.oversized_bytes > 0) {
           oversized_.fetch_add(1, std::memory_order_relaxed);
           c->service.submit_oversized(item.oversized_bytes);
@@ -499,14 +499,6 @@ void SocketServer::executor_loop() {
         }
         requests_.fetch_add(1, std::memory_order_relaxed);
       }
-      bool more;
-      {
-        const std::scoped_lock lock(c->mu);
-        more = !c->pending.empty();
-      }
-      // Input momentarily dry: close the open analyze batch, exactly
-      // like serve_stream does when its stream has no buffered bytes.
-      if (!more) c->service.flush();
       std::string out;
       while (std::optional<std::string> r = c->service.next_response()) {
         out += *r;
@@ -516,7 +508,7 @@ void SocketServer::executor_loop() {
       bool finished;
       {
         const std::scoped_lock lock(c->mu);
-        for (const Conn::Item& item : batch)
+        for (const Conn::Item& item : items)
           c->latency.record(done_ns - item.arrival_ns);
         c->outbuf += out;
         finished = c->pending.empty();

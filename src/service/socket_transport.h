@@ -10,8 +10,8 @@
 //     LineFramer (service/line_framer.h), the framer serve_stream uses,
 //     so an oversized line costs bounded memory and still gets its
 //     structured `oversized` envelope.
-//   * Each connection owns a Service instance — its own seq space,
-//     batch scheduler and response queue — so a connection's response
+//   * Each connection owns a Service instance — its own seq space and
+//     response queue — so a connection's response
 //     bytes are exactly what the same request lines would produce over
 //     stdio or the in-process loopback (pinned by
 //     tests/service/socket_test.cpp).

@@ -89,6 +89,20 @@ void ShardedAnalyzer::rebuild_shard(ShardId id) {
   unhealthy_.insert(id);
 }
 
+ShardId ShardedAnalyzer::largest_member(
+    const std::vector<ShardId>& members) {
+  ShardId target = members.front();
+  std::size_t best = shard_at(target).names.size();
+  for (const ShardId id : members) {
+    const std::size_t n = shard_at(id).names.size();
+    if (n > best) {
+      best = n;
+      target = id;
+    }
+  }
+  return target;
+}
+
 ShardId ShardedAnalyzer::apply_merge(const std::vector<ShardId>& members,
                                      const model::SporadicFlow& flow) {
   // Single-member adds (the dominant case once the partition has
@@ -129,18 +143,10 @@ ShardId ShardedAnalyzer::apply_merge(const std::vector<ShardId>& members,
     unhealthy_.insert(target);
     return target;
   }
-  // The merged shard keeps the cache lineage of its largest member (tie:
-  // oldest id): that member's flows are a subset of the merged set, so
-  // its cached table warm-starts the merged analysis soundly.
-  ShardId target = members.front();
-  std::size_t best = shard_at(target).names.size();
-  for (const ShardId id : members) {
-    const std::size_t n = shard_at(id).names.size();
-    if (n > best) {
-      best = n;
-      target = id;
-    }
-  }
+  // The merged shard keeps the cache lineage of its largest member: that
+  // member's flows are a subset of the merged set, so its cached table
+  // warm-starts the merged analysis soundly.
+  const ShardId target = largest_member(members);
   for (const ShardId id : members) {
     if (id == target) continue;
     Shard& absorbed = shard_at(id);
@@ -403,18 +409,7 @@ AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
   // Analyse the tentative union on a scratch copy of the target lineage:
   // a rejection leaves every committed cache untouched.
   AnalysisCache scratch;
-  if (!members.empty()) {
-    ShardId seed = members.front();
-    std::size_t best = shard_at(seed).names.size();
-    for (const ShardId id : members) {
-      const std::size_t n = shard_at(id).names.size();
-      if (n > best) {
-        best = n;
-        seed = id;
-      }
-    }
-    scratch = shard_at(seed).cache;
-  }
+  if (!members.empty()) scratch = shard_at(largest_member(members)).cache;
   obs::Telemetry local;
   Result r = reanalyze_with(tentative, scratch, cfg_, &local);
   out.stats = r.stats;
@@ -445,6 +440,8 @@ AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
   }
 
   if (!ok) {
+    // `tentative` is in name order, so over a certified set (no unhealthy
+    // shard) front() is the smallest violating name — evaluate()'s pick.
     out.reason = out.violating.empty()
                      ? "analysis did not converge"
                      : "deadline miss certified for: " + out.violating.front();

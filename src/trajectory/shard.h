@@ -195,6 +195,9 @@ class ShardedAnalyzer {
   Shard& shard_at(ShardId id);
   [[nodiscard]] std::vector<ShardId> member_shards(
       const model::SporadicFlow& flow) const;
+  /// The member with the most flows; ties go to the oldest (lowest) id.
+  /// `members` is non-empty and sorted.
+  ShardId largest_member(const std::vector<ShardId>& members);
   ShardId apply_merge(const std::vector<ShardId>& members,
                       const model::SporadicFlow& flow);
   void rebuild_shard(ShardId id);

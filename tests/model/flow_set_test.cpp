@@ -77,6 +77,17 @@ TEST(FlowSet, InsertPlacesFlowAtPosition) {
   EXPECT_EQ(set.find("b"), std::optional<FlowIndex>(2));
 }
 
+TEST(FlowSet, EraseKeepsTheSurvivorsInOrder) {
+  FlowSet set = small_set();
+  set.add(SporadicFlow("c", Path{3}, 10, 1, 0, 20));
+  set.erase(1);
+  ASSERT_EQ(set.size(), 2u);
+  EXPECT_EQ(set.flow(0).name(), "a");
+  EXPECT_EQ(set.flow(1).name(), "c");
+  EXPECT_FALSE(set.find("b").has_value());
+  EXPECT_EQ(set.find("c"), std::optional<FlowIndex>(1));
+}
+
 TEST(FlowSet, NodeUtilisationSumsCostOverPeriod) {
   const FlowSet set = small_set();
   EXPECT_DOUBLE_EQ(set.node_utilisation(0), 0.2);        // 2/10

@@ -31,18 +31,18 @@ std::string big_set_text() {
   return model::serialize_flow_set(model::make_random(cfg, rng));
 }
 
-/// A mixed script exercising batching, both analysis properties, memo
+/// A mixed script exercising both analysis properties, memo
 /// hits, mutation, admission and the metrics dump over two sessions.
 std::vector<std::string> script(const std::string& big) {
   std::vector<std::string> s;
   s.push_back(load_line("paper", paper_text()));
   s.push_back(load_line("big", big));
-  // One coalesced batch over both sessions (equal options), with a
-  // repeat that hits the memo.
+  // Both sessions under equal options, with a repeat that hits the
+  // memo.
   s.push_back(analyze_line("paper"));
   s.push_back(analyze_line("big"));
   s.push_back(analyze_line("paper"));
-  // Option change splits the batch.
+  // Option changes.
   s.push_back(analyze_line("paper", true));
   s.push_back(
       R"({"op":"analyze","session":"big","smax":"completion","id":"c1"})");
@@ -117,21 +117,6 @@ TEST(Determinism, ResponsesStayInArrivalOrder) {
     const std::string want = "{\"seq\":" + std::to_string(i + 1) + ",";
     EXPECT_EQ(responses[i].substr(0, want.size()), want) << responses[i];
   }
-}
-
-/// The batch size (how many analyzes coalesce before the batch closes)
-/// must not change response bytes either — only latency.
-TEST(Determinism, BatchBoundariesNeverChangeResponseBytes) {
-  const std::vector<std::string> lines = {
-      load_line("p", paper_text()), analyze_line("p"), analyze_line("p", true),
-      analyze_line("p"),            analyze_line("p"),
-  };
-  ServiceConfig batched = test_config(2);
-  ServiceConfig unbatched = test_config(2);
-  unbatched.max_batch = 1;
-  Loopback a(std::move(batched));
-  Loopback b(std::move(unbatched));
-  EXPECT_EQ(a.roundtrip(lines), b.roundtrip(lines));
 }
 
 }  // namespace

@@ -171,14 +171,14 @@ TEST(Malformed, FlowLevelErrors) {
 }
 
 TEST(Malformed, DeadlineExceededInBatch) {
-  // The counter clock advances 1ms per call; a 0ms deadline therefore
-  // always expires by the time the batch closes.
+  // The counter clock advances 1ms per call, so a request stamped with
+  // arrival 0 has waited past a 0ms deadline by the time it is checked.
   Loopback lb(test_config());
   (void)lb.request(load_line("p", paper_text()));
   lb.service().submit(
-      R"({"op":"analyze","session":"p","deadline_ms":0,"id":"late"})");
+      R"({"op":"analyze","session":"p","deadline_ms":0,"id":"late"})",
+      /*arrival_ns=*/0);
   lb.service().submit(analyze_line("p"));
-  lb.service().flush();
   const auto first = lb.service().next_response();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(error_code(*first), "deadline_exceeded");

@@ -1,9 +1,9 @@
 // The service's analyze path through the session's sharded analyzer
-// (docs/service.md, "Sessions" and "Batching and determinism"): on a
-// multi-shard session — the paper example plus a disjoint clone — the
-// `bounds` bytes of every analyze equal the rendering of an in-process
-// trajectory::analyze of the same set for every worker count and batch
-// size, an analyze prices only the dirty shards (`smax_passes` 0 right
+// (docs/service.md, "Sessions" and "Execution order and determinism"):
+// on a multi-shard session — the paper example plus a disjoint clone —
+// the `bounds` bytes of every analyze equal the rendering of an
+// in-process trajectory::analyze of the same set for every worker
+// count, an analyze prices only the dirty shards (`smax_passes` 0 right
 // after an accepted admit, no settled shard re-analysed by the next
 // admit), and the memo is keyed by the options alone.
 #include <gtest/gtest.h>
@@ -152,51 +152,46 @@ TEST(ShardedService, AnalyzeBoundsMatchInProcessForEveryWorkerAndBatch) {
   std::vector<std::string> reference;
   for (const std::size_t workers : {std::size_t{1}, std::size_t{2},
                                     std::size_t{8}}) {
-    for (const std::size_t max_batch : {std::size_t{1}, std::size_t{64}}) {
-      ServiceConfig cfg = test_config(workers);
-      cfg.max_batch = max_batch;
-      Loopback lb(std::move(cfg));
-      const std::vector<std::string> r = lb.roundtrip(lines);
-      ASSERT_EQ(r.size(), lines.size());
-      const std::string where = "workers=" + std::to_string(workers) +
-                                " max_batch=" + std::to_string(max_batch);
-      for (const std::string& response : r)
-        ASSERT_NE(response.find("\"ok\":true"), std::string::npos)
-            << where << ": " << response;
+    Loopback lb(test_config(workers));
+    const std::vector<std::string> r = lb.roundtrip(lines);
+    ASSERT_EQ(r.size(), lines.size());
+    const std::string where = "workers=" + std::to_string(workers);
+    for (const std::string& response : r)
+      ASSERT_NE(response.find("\"ok\":true"), std::string::npos)
+          << where << ": " << response;
 
-      EXPECT_EQ(bounds_region(r[1]), expected_bounds(base, false)) << where;
-      EXPECT_EQ(bounds_region(r[3]), expected_bounds(after_add, false))
-          << where;
-      ASSERT_NE(r[5].find("\"admitted\":true"), std::string::npos) << r[5];
-      EXPECT_EQ(bounds_region(r[7]), expected_bounds(after_admit, false))
-          << where;
-      EXPECT_EQ(bounds_region(r[8]), expected_bounds(after_admit, false))
-          << where;
-      EXPECT_EQ(bounds_region(r[10]), expected_bounds(after_remove, false))
-          << where;
-      EXPECT_EQ(bounds_region(r[11]), expected_bounds(after_remove, true))
-          << where;
-      ASSERT_NE(r[12].find("\"admitted\":true"), std::string::npos) << r[12];
-      EXPECT_EQ(bounds_region(r[13]), expected_bounds(after_admit2, false))
-          << where;
+    EXPECT_EQ(bounds_region(r[1]), expected_bounds(base, false)) << where;
+    EXPECT_EQ(bounds_region(r[3]), expected_bounds(after_add, false))
+        << where;
+    ASSERT_NE(r[5].find("\"admitted\":true"), std::string::npos) << r[5];
+    EXPECT_EQ(bounds_region(r[7]), expected_bounds(after_admit, false))
+        << where;
+    EXPECT_EQ(bounds_region(r[8]), expected_bounds(after_admit, false))
+        << where;
+    EXPECT_EQ(bounds_region(r[10]), expected_bounds(after_remove, false))
+        << where;
+    EXPECT_EQ(bounds_region(r[11]), expected_bounds(after_remove, true))
+        << where;
+    ASSERT_NE(r[12].find("\"admitted\":true"), std::string::npos) << r[12];
+    EXPECT_EQ(bounds_region(r[13]), expected_bounds(after_admit2, false))
+        << where;
 
-      // The first analyze ran both shards cold; the one after add_flow
-      // re-ran only the clone shard.
-      EXPECT_GT(smax_passes(r[1]), 0) << where;
-      EXPECT_GT(smax_passes(r[3]), 0) << where;
-      // The admit analysed its tentative shard only: the analyze before
-      // it had settled everything.
-      EXPECT_EQ(analyzed_shards(r[6]) - analyzed_shards(r[4]), 1) << where;
-      // The accepted admit committed its analysis: nothing left to run.
-      EXPECT_FALSE(cached(r[7])) << where;
-      EXPECT_EQ(smax_passes(r[7]), 0) << where;
-      EXPECT_TRUE(cached(r[8])) << where;
+    // The first analyze ran both shards cold; the one after add_flow
+    // re-ran only the clone shard.
+    EXPECT_GT(smax_passes(r[1]), 0) << where;
+    EXPECT_GT(smax_passes(r[3]), 0) << where;
+    // The admit analysed its tentative shard only: the analyze before
+    // it had settled everything.
+    EXPECT_EQ(analyzed_shards(r[6]) - analyzed_shards(r[4]), 1) << where;
+    // The accepted admit committed its analysis: nothing left to run.
+    EXPECT_FALSE(cached(r[7])) << where;
+    EXPECT_EQ(smax_passes(r[7]), 0) << where;
+    EXPECT_TRUE(cached(r[8])) << where;
 
-      if (reference.empty()) {
-        reference = r;
-      } else {
-        EXPECT_EQ(r, reference) << where;
-      }
+    if (reference.empty()) {
+      reference = r;
+    } else {
+      EXPECT_EQ(r, reference) << where;
     }
   }
 }

@@ -116,7 +116,6 @@ void run_soak(std::size_t requests) {
       svc.submit(kBad[static_cast<std::size_t>(
           rng.uniform(0, static_cast<std::int64_t>(std::size(kBad)) - 1))]);
     }
-    if (rng.chance(0.05)) svc.flush();
     drain();
 
     // Keep the live sets small so the soak stays fast: trim the oldest
@@ -136,7 +135,6 @@ void run_soak(std::size_t requests) {
   }
   svc.submit(R"({"op":"shutdown"})");
   svc.submit(analyze_line("a"));  // refused: draining
-  svc.flush();
   drain();
   EXPECT_TRUE(svc.draining());
   EXPECT_EQ(responses, svc.requests());

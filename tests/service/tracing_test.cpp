@@ -269,12 +269,14 @@ TEST(Tracing, DeadlineMissDumpsTheFlightRecorder) {
   cfg.event_log = &log;
   cfg.flight_recorder_depth = 8;
   Loopback lb(std::move(cfg));
-  // The counter clock advances 1ms per reading, so a 0ms deadline has
-  // always expired by the time the batch closes.
-  const std::vector<std::string> responses = lb.roundtrip({
-      load_line("paper", paper_text()),
+  // The counter clock advances 1ms per reading, so a request stamped
+  // with arrival 0 has waited past a 0ms deadline by the time it is
+  // checked.
+  lb.service().submit(load_line("paper", paper_text()));
+  lb.service().submit(
       R"({"op":"analyze","session":"paper","deadline_ms":0,"trace_id":"late-1"})",
-  });
+      /*arrival_ns=*/0);
+  const std::vector<std::string> responses = lb.roundtrip({});
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_NE(responses[1].find(R"("code":"deadline_exceeded")"),
             std::string::npos)
@@ -327,10 +329,9 @@ TEST(Tracing, DisabledFlightRecorderLogsMissesWithoutDumps) {
   cfg.event_log = &log;
   cfg.flight_recorder_depth = 0;
   Loopback lb(std::move(cfg));
-  (void)lb.roundtrip({
-      load_line("paper", paper_text()),
-      R"({"op":"analyze","session":"paper","deadline_ms":0})",
-  });
+  lb.service().submit(load_line("paper", paper_text()));
+  lb.service().submit(R"({"op":"analyze","session":"paper","deadline_ms":0})",
+                      /*arrival_ns=*/0);
   EXPECT_FALSE(find_event(log, "service.deadline_miss").empty()) << log.dump();
   EXPECT_TRUE(find_event(log, "service.flight_recorder").empty())
       << log.dump();
