@@ -69,13 +69,14 @@ Result compose(const model::FlowSet& set, const Config& cfg,
                    : kInfiniteDuration;
 
     // Per-hop profile (single-segment flows only: prefixes of a composed
-    // flow are not prefixes of the original path).
+    // flow are not prefixes of the original path).  Read from the run's
+    // last Jacobi pass and extraction, which evaluated every prefix
+    // against the converged table; nothing is recomputed here.
     if (!b.composed && finite) {
       const std::size_t len = flow.path().size();
       b.prefix_responses.reserve(len);
       for (std::size_t k = 1; k <= len; ++k)
-        b.prefix_responses.push_back(
-            engine.prefix_bound(segments[0], k).response);
+        b.prefix_responses.push_back(engine.prefix_response(segments[0], k));
     }
     all_ok = all_ok && b.schedulable;
     result.bounds.push_back(b);
@@ -97,31 +98,28 @@ Result analyze(const model::FlowSet& set, const Config& cfg,
   const auto issues = set.validate();
   TFA_EXPECTS_MSG(issues.empty(), issues.front().message.c_str());
 
-  // All accounting flows through a registry — EngineStats is a view over
-  // it (stats_view).  With no caller-supplied telemetry a run-local one
-  // plays the sink; with a shared one, the delta against the pre-run
-  // snapshot keeps Result::stats per-call (no wall-time double-count
-  // across warm-start re-analyses — see EngineStats::merge).
-  obs::Telemetry local;
-  obs::Telemetry* t = telemetry != nullptr ? telemetry : &local;
-  const EngineStats before = stats_view(t->metrics);
-
-  obs::Span analyze_span = obs::span(t, "trajectory.analyze");
+  // Result::stats is this run's own EngineStats sink.  A caller's
+  // telemetry additionally receives spans, series and the same totals
+  // (the engine publishes them from the one sum it writes into `stats`);
+  // without one, no telemetry work is done at all.
+  obs::Span analyze_span = obs::span(telemetry, "trajectory.analyze");
 
   const model::NormalisationReport norm = [&] {
-    obs::Span norm_span = obs::span(t, "trajectory.normalise");
+    obs::Span norm_span = obs::span(telemetry, "trajectory.normalise");
     return model::normalise(set, cfg.split_jitter);
   }();
 
+  EngineStats stats;
   EngineOptions opts;
-  opts.telemetry = t;
+  opts.stats = &stats;
+  opts.telemetry = telemetry;
   const Engine engine(norm.flow_set, cfg, opts);
 
   Result result = [&] {
-    obs::Span compose_span = obs::span(t, "trajectory.compose");
+    obs::Span compose_span = obs::span(telemetry, "trajectory.compose");
     return detail::compose(set, cfg, norm, engine);
   }();
-  result.stats = stats_view(t->metrics).delta_since(before);
+  result.stats = stats;
   return result;
 }
 

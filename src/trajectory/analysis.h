@@ -30,7 +30,8 @@ namespace tfa::trajectory {
 /// counters land in `telemetry` (accumulating — a long-lived Telemetry
 /// collects totals across calls).  Result::stats always reports THIS
 /// call's share only, however many runs the registry has seen.  nullptr
-/// behaves exactly like the two-argument overload.
+/// behaves exactly like the two-argument overload and does no telemetry
+/// work.
 [[nodiscard]] Result analyze(const model::FlowSet& set, const Config& cfg,
                              obs::Telemetry* telemetry);
 
@@ -44,8 +45,10 @@ class Engine;
 namespace detail {
 
 /// Maps a finished engine's per-segment bounds back onto the original
-/// set's flows (composing Assumption-1 splits).  Shared by analyze() and
-/// the batch driver (trajectory/batch.h); not part of the public API.
+/// set's flows (composing Assumption-1 splits).  Per-hop profiles are
+/// read with Engine::prefix_response(); nothing is re-evaluated.  Shared
+/// by analyze() and the batch front end (trajectory/batch.h); not part
+/// of the public API.
 [[nodiscard]] Result compose(const model::FlowSet& set, const Config& cfg,
                              const model::NormalisationReport& norm,
                              const Engine& engine);

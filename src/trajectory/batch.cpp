@@ -107,25 +107,21 @@ Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
   const auto issues = set.validate();
   TFA_EXPECTS_MSG(issues.empty(), issues.front().message.c_str());
 
-  // Registry-first accounting, like analyze(): a run-local Telemetry
-  // stands in when the caller passes none, and Result::stats is the delta
-  // against the pre-run snapshot so a persistent registry never
-  // double-counts wall times across re-analyses.
-  obs::Telemetry local;
-  obs::Telemetry* t = telemetry != nullptr ? telemetry : &local;
-  const EngineStats before = stats_view(t->metrics);
-  obs::Span reanalyze_span = obs::span(t, "trajectory.reanalyze");
+  // Accounting like analyze(): Result::stats is this run's own
+  // EngineStats sink, into which the engine adds its work on top of the
+  // cache hits/misses counted here.  Without a caller's telemetry no
+  // telemetry work is done.
+  obs::Span reanalyze_span = obs::span(telemetry, "trajectory.reanalyze");
 
   const model::NormalisationReport norm = [&] {
-    obs::Span norm_span = obs::span(t, "trajectory.normalise");
+    obs::Span norm_span = obs::span(telemetry, "trajectory.normalise");
     return model::normalise(set, cfg.split_jitter);
   }();
   const model::FlowSet& fs = norm.flow_set;
   const std::size_t n = fs.size();
   const std::uint64_t context = context_fingerprint(set.network(), cfg);
 
-  std::int64_t hits = 0;
-  std::int64_t misses = 0;
+  EngineStats stats;
 
   // ---- Warm-start validity: every cached row must correspond to an
   // unchanged flow of the new normalised set, i.e. the cached run covered
@@ -148,7 +144,8 @@ Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
   // Seed rows resolved up front so the engine's hook is just a lookup.
   std::vector<const std::vector<Duration>*> seed(n, nullptr);
   EngineOptions opts;
-  opts.telemetry = t;
+  opts.stats = &stats;
+  opts.telemetry = telemetry;
   if (warm) {
     for (std::size_t i = 0; i < n; ++i) {
       const model::SporadicFlow& f = fs.flow(static_cast<FlowIndex>(i));
@@ -157,9 +154,9 @@ Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
       if (it != cache.rows_.end() && !it->second.smax.empty()) {
         TFA_ASSERT(it->second.smax.size() == f.path().size());
         seed[i] = &it->second.smax;
-        ++hits;
+        ++stats.cache_hits;
       } else {
-        ++misses;  // newly added flow: cold row
+        ++stats.cache_misses;  // newly added flow: cold row
       }
     }
     opts.warm_seed = [&seed](FlowIndex i, std::size_t pos) {
@@ -170,10 +167,14 @@ Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
     // Invalidated: every analysable flow restarts from the cold seed.
     for (std::size_t i = 0; i < n; ++i)
       if (analysable_under(fs.flow(static_cast<FlowIndex>(i)), cfg))
-        ++misses;
+        ++stats.cache_misses;
   }
-  t->metrics.counter("trajectory.cache_hits") += hits;
-  t->metrics.counter("trajectory.cache_misses") += misses;
+  if (telemetry != nullptr) {
+    telemetry->metrics.counter("trajectory.cache_hits") +=
+        static_cast<std::int64_t>(stats.cache_hits);
+    telemetry->metrics.counter("trajectory.cache_misses") +=
+        static_cast<std::int64_t>(stats.cache_misses);
+  }
 
   const Engine engine(fs, cfg, opts);
 
@@ -200,10 +201,10 @@ Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
   }
 
   Result result = [&] {
-    obs::Span compose_span = obs::span(t, "trajectory.compose");
+    obs::Span compose_span = obs::span(telemetry, "trajectory.compose");
     return detail::compose(set, cfg, norm, engine);
   }();
-  result.stats = stats_view(t->metrics).delta_since(before);
+  result.stats = stats;
   return result;
 }
 

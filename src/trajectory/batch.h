@@ -88,9 +88,10 @@ class AnalysisCache {
 /// reanalyze_with() with an observability sink.  The registry ACCUMULATES
 /// across calls (counters, timers, convergence series) — the natural use
 /// is one long-lived Telemetry per cache lineage — while Result::stats is
-/// computed as a delta against the pre-call snapshot, so each call's wall
-/// times are reported exactly once (the regression test in
-/// tests/trajectory/stats_semantics_test.cpp pins both halves).
+/// the call's own accounting, so each call's wall times are reported
+/// exactly once (the regression test in
+/// tests/trajectory/stats_semantics_test.cpp pins both halves).  nullptr
+/// does no telemetry work.
 [[nodiscard]] Result reanalyze_with(const model::FlowSet& set,
                                     AnalysisCache& cache, const Config& cfg,
                                     obs::Telemetry* telemetry);

@@ -113,12 +113,14 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
   const bool completion = cfg_.smax_semantics == SmaxSemantics::kCompletion;
   std::size_t warm_entries = 0;
   smax_.resize(n);
+  prefix_response_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto fi = static_cast<FlowIndex>(i);
     if (!mask_[i]) continue;  // background flows never need Smax
     const model::SporadicFlow& f = set.flow(fi);
     const std::size_t len = f.path().size();
     smax_[i].resize(len);
+    prefix_response_[i].assign(len, kInfiniteDuration);
     for (std::size_t k = 0; k < len; ++k) {
       smax_[i][k] = f.jitter() + geometry_.smin(fi, k);
       if (completion) smax_[i][k] += f.cost_at_position(k);
@@ -173,6 +175,7 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
               fi, set_.flow(fi).path().size(),
               instrument ? &partials[i] : nullptr,
               tel != nullptr ? &bp_traces[i] : nullptr);
+          prefix_response_[i].back() = full_bounds_[i].response;
         },
         workers_);
   }
@@ -222,6 +225,13 @@ bool Engine::analysable(FlowIndex i) const {
 const PrefixBound& Engine::bound(FlowIndex i) const {
   TFA_EXPECTS(analysable(i));
   return full_bounds_[static_cast<std::size_t>(i)];
+}
+
+Duration Engine::prefix_response(FlowIndex i, std::size_t prefix) const {
+  TFA_EXPECTS(analysable(i));
+  const auto& row = prefix_response_[static_cast<std::size_t>(i)];
+  TFA_EXPECTS(prefix >= 1 && prefix <= row.size());
+  return row[prefix - 1];
 }
 
 Duration Engine::smax(FlowIndex i, std::size_t pos) const {
@@ -646,10 +656,14 @@ void Engine::run_fixed_point(std::vector<EngineStats>* partials,
           // over the k-node prefix plus that hop's worst-case link
           // traversal (so position 0 stays at the release jitter).
           // Completion semantics: the worst response over the prefix
-          // *including* position k.
+          // *including* position k.  Each response is also kept in the
+          // flow's prefix_response_ row (disjoint per flow): after the
+          // pass that changes nothing, the row holds every prefix's
+          // response against the converged table.
           for (std::size_t k = completion ? 0u : 1u; k < len; ++k) {
-            const PrefixBound pb =
-                prefix_bound(fi, completion ? k + 1 : k, stats);
+            const std::size_t prefix = completion ? k + 1 : k;
+            const PrefixBound pb = prefix_bound(fi, prefix, stats);
+            prefix_response_[i][prefix - 1] = pb.response;
             Duration value = kInfiniteDuration;
             if (pb.finite())
               value = completion

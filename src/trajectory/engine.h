@@ -71,6 +71,7 @@ struct EngineOptions {
   /// When non-null, receives the run's work/time accounting.  The sink is
   /// written once, at the end of construction; counters are merged in
   /// flow-index order and therefore identical for every worker count.
+  /// `telemetry` (below) receives the same total.
   EngineStats* stats = nullptr;
   /// Warm-start seed for the Smax table: (flow, path position) -> a value
   /// known to UNDERESTIMATE the table's least fixed point for this set
@@ -88,6 +89,8 @@ struct EngineOptions {
   /// run totals into the registry (see docs/observability.md).  Series
   /// and counters are appended from the orchestrating thread only, in
   /// pass / flow-index order — deterministic for every worker count.
+  /// When null none of that work is done (the busy-period series needs a
+  /// re-trace of every flow's Lemma-3 fixed point).
   obs::Telemetry* telemetry = nullptr;
 };
 
@@ -148,6 +151,16 @@ class Engine {
   [[nodiscard]] const std::vector<bool>& non_blockers() const noexcept {
     return non_blockers_;
   }
+
+  /// Response bound R_i over the first `prefix` hops of flow `i`
+  /// (`prefix` in [1, |P_i|]), read from work the run has already done:
+  /// the last Jacobi pass evaluated every prefix that feeds an Smax entry
+  /// (k < |P_i| under kArrival, every k under kCompletion) and the
+  /// extraction evaluated k = |P_i|.  When converged() the last pass read
+  /// the converged table, so the value equals prefix_bound(i, prefix)
+  /// .response bit for bit.  Otherwise a shorter prefix reads that pass's
+  /// pre-fixed-point evaluation, or kInfiniteDuration when no pass ran.
+  [[nodiscard]] Duration prefix_response(FlowIndex i, std::size_t prefix) const;
 
   /// Recomputes the bound for a prefix of flow `i` with the current Smax
   /// table (exposed for tests; `prefix` in [1, |P_i|]).  When `stats` is
@@ -217,6 +230,8 @@ class Engine {
   std::function<Duration(FlowIndex, std::size_t)> higher_smax_;
   std::vector<std::vector<Duration>> smax_;  ///< [flow][position].
   std::vector<std::vector<PrefixContext>> prefix_ctx_;  ///< [flow][prefix-1].
+  /// Last evaluated R_i per prefix, [flow][prefix-1] (prefix_response()).
+  std::vector<std::vector<Duration>> prefix_response_;
   std::vector<PrefixBound> full_bounds_;     ///< [flow], analysable only.
   bool delta_enabled_ = false;  ///< Some flow plays the blocker role.
   bool converged_ = false;

@@ -299,7 +299,7 @@ void ShardedAnalyzer::analyze_shard(ShardId id, obs::Telemetry* sink) {
 }
 
 void ShardedAnalyzer::publish_run(const Result& r, std::size_t flows,
-                                  const obs::Telemetry& sink) {
+                                  const obs::Telemetry* sink) {
   ++stats_.analyzed_shards;
   stats_.analyzed_flows += flows;
   if (telemetry_ == nullptr) return;
@@ -309,9 +309,10 @@ void ShardedAnalyzer::publish_run(const Result& r, std::size_t flows,
                                         r.stats.smax_passes));
   telemetry_->metrics.append_series("shard.convergence.flows",
                                     static_cast<std::int64_t>(flows));
-  telemetry_->metrics.merge(sink.metrics);
-  telemetry_->metrics.merge_with_prefix(sink.metrics, "shard.");
-  telemetry_->trace.append(sink.trace);
+  TFA_ASSERT(sink != nullptr);
+  telemetry_->metrics.merge(sink->metrics);
+  telemetry_->metrics.merge_with_prefix(sink->metrics, "shard.");
+  telemetry_->trace.append(sink->trace);
 }
 
 std::size_t ShardedAnalyzer::settle(EngineStats* work) {
@@ -323,7 +324,13 @@ std::size_t ShardedAnalyzer::settle(EngineStats* work) {
 
   const std::size_t fan =
       cfg_.workers == 0 ? default_worker_count() : cfg_.workers;
-  std::vector<obs::Telemetry> sinks(dirty.size());
+  // Per-shard sinks only when telemetry is attached: a sinkless run
+  // does no telemetry work, and Result::stats does not need one.
+  const bool observed = telemetry_ != nullptr;
+  std::vector<obs::Telemetry> sinks(observed ? dirty.size() : 0);
+  const auto sink = [&](std::size_t k) {
+    return observed ? &sinks[k] : nullptr;
+  };
   if (dirty.size() > 1 && fan > 1) {
     // Fan the dirty shards out like analyze_many: the fan-out is the only
     // parallelism (per-shard engines at workers=1), results land in
@@ -333,14 +340,14 @@ std::size_t ShardedAnalyzer::settle(EngineStats* work) {
     cfg_.workers = 1;
     parallel_for(
         dirty.size(),
-        [this, &dirty, &sinks](std::size_t k) {
-          analyze_shard(dirty[k], &sinks[k]);
+        [this, &dirty, &sink](std::size_t k) {
+          analyze_shard(dirty[k], sink(k));
         },
         fan);
     cfg_ = saved;
   } else {
     for (std::size_t k = 0; k < dirty.size(); ++k)
-      analyze_shard(dirty[k], &sinks[k]);
+      analyze_shard(dirty[k], sink(k));
   }
   // Index maintenance happens here, sequentially — analyze_shard runs
   // inside parallel_for and must not touch the sets.
@@ -348,7 +355,7 @@ std::size_t ShardedAnalyzer::settle(EngineStats* work) {
     const Shard& s = shard_at(dirty[k]);
     dirty_.erase(dirty[k]);
     if (s.healthy) unhealthy_.erase(dirty[k]);
-    publish_run(s.last, s.names.size(), sinks[k]);
+    publish_run(s.last, s.names.size(), sink(k));
     if (work != nullptr) work->merge(s.last.stats);
   }
   return dirty.size();
@@ -411,10 +418,11 @@ AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
   AnalysisCache scratch;
   if (!members.empty()) scratch = shard_at(largest_member(members)).cache;
   obs::Telemetry local;
-  Result r = reanalyze_with(tentative, scratch, cfg_, &local);
+  obs::Telemetry* sink = telemetry_ != nullptr ? &local : nullptr;
+  Result r = reanalyze_with(tentative, scratch, cfg_, sink);
   out.stats = r.stats;
   out.shard_flows = tentative.size();
-  publish_run(r, tentative.size(), local);
+  publish_run(r, tentative.size(), sink);
 
   bool ok = r.converged;
   for (const FlowBound& b : r.bounds) {

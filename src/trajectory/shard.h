@@ -202,8 +202,10 @@ class ShardedAnalyzer {
                       const model::SporadicFlow& flow);
   void rebuild_shard(ShardId id);
   void analyze_shard(ShardId id, obs::Telemetry* sink);
+  /// Books one analysis run; `sink` (the run's telemetry) is non-null
+  /// exactly when telemetry is attached.
   void publish_run(const Result& r, std::size_t flows,
-                   const obs::Telemetry& sink);
+                   const obs::Telemetry* sink);
   /// The merged result with `flows` (every analysed flow, once) giving
   /// the bound order.  Settles first.
   template <typename Flows>

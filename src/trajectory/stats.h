@@ -17,7 +17,9 @@ namespace tfa::trajectory {
 
 /// Work and wall-time accounting of one analysis run.  Every counter is a
 /// total over the whole run (all Smax passes plus the final bound
-/// extraction).
+/// extraction).  Result::stats is the run's own instance: the engine's
+/// stats sink (EngineOptions::stats) plus reanalyze_with()'s cache
+/// hits/misses, whether or not the caller passed a telemetry sink.
 struct EngineStats {
   /// Passes of the global Smax fixed-point iteration (Jacobi rounds).
   std::size_t smax_passes = 0;
@@ -41,18 +43,18 @@ struct EngineStats {
   /// Wall time extracting the final full-path bounds, nanoseconds.
   std::int64_t extract_ns = 0;
   /// Worker threads the run was configured with (after clamping 0 to the
-  /// hardware default).
+  /// hardware default).  Always the run's own count, also when a shared
+  /// registry has seen larger ones.
   std::size_t workers = 1;
 
   /// Accumulates another partial into this one.  Wall times ADD — merge
   /// is for combining disjoint pieces of work (per-flow partials of one
   /// run, or whole runs into a long-lived accumulator), never for
   /// re-reading a cumulative total: merging the same run twice
-  /// double-counts its time.  Per-run stats out of a shared registry are
-  /// produced with delta_since() for exactly that reason (the
-  /// warm-start-re-analysis regression in
-  /// tests/trajectory/stats_semantics_test.cpp pins it).  `workers` takes
-  /// the maximum so class-by-class FP/FIFO merges keep the setting.
+  /// double-counts its time (the warm-start-re-analysis regression in
+  /// tests/trajectory/stats_semantics_test.cpp pins per-call stats).
+  /// `workers` takes the maximum so class-by-class FP/FIFO merges keep
+  /// the setting.
   void merge(const EngineStats& other) noexcept {
     smax_passes += other.smax_passes;
     prefix_bounds += other.prefix_bounds;
@@ -66,11 +68,11 @@ struct EngineStats {
     workers = workers > other.workers ? workers : other.workers;
   }
 
-  /// This run's share of a cumulative accounting: every additive counter
-  /// and wall time minus `before`'s (a snapshot taken before the run);
-  /// `workers` keeps the current value.  The inverse of merge() — used to
-  /// report per-call stats from a registry that accumulates across
-  /// reanalyze_with() calls without double-counting wall times.
+  /// The share of a cumulative accounting since `before` (a snapshot of
+  /// the same accumulation): every additive counter and wall time minus
+  /// `before`'s; `workers` keeps the current value.  The inverse of
+  /// merge() — the engine uses it to split a run's counters into the
+  /// fixed-point and extraction phases.
   [[nodiscard]] EngineStats delta_since(const EngineStats& before) const
       noexcept {
     EngineStats d = *this;
@@ -90,14 +92,13 @@ struct EngineStats {
 /// Adds `stats` into the registry under the canonical `trajectory.*`
 /// metric names (counters add, times land in timers, `workers` becomes a
 /// gauge merged by max) — the write half of the EngineStats<->registry
-/// bridge.
+/// bridge.  The engine publishes the same total it writes into its stats
+/// sink, so `--stats` output and the metrics dump agree.
 void publish_stats(const EngineStats& stats, obs::MetricRegistry& metrics);
 
-/// Reads the canonical `trajectory.*` metrics back as an EngineStats —
-/// the struct is now a *view* over the registry: analyze() and
-/// reanalyze_with() route all accounting through a MetricRegistry and
-/// derive Result::stats with this function, so `--stats` output and the
-/// metrics dump can never disagree.
+/// Reads the canonical `trajectory.*` metrics back as an EngineStats: the
+/// registry's accumulated totals over every run published into it, with
+/// `workers` the largest count seen.
 [[nodiscard]] EngineStats stats_view(const obs::MetricRegistry& metrics);
 
 }  // namespace tfa::trajectory

@@ -1,9 +1,9 @@
-// Regression tests of the EngineStats accounting semantics (satellite of
-// the observability layer): a registry shared across reanalyze_with()
-// calls accumulates, Result::stats stays a per-call delta, and wall times
-// are counted exactly once.  Before the registry-first rewrite the second
-// call re-merged the accumulator and double-counted fixed_point_ns /
-// extract_ns; these tests pin the fixed semantics.
+// Regression tests of the EngineStats accounting semantics: Result::stats
+// is the run's own EngineStats, whether the caller passed no sink, a fresh
+// one or a registry shared across calls; a shared registry accumulates the
+// same totals, and wall times are counted exactly once (an earlier
+// accounting re-merged the accumulator and double-counted fixed_point_ns /
+// extract_ns on the second call).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,7 +11,9 @@
 #include "base/rng.h"
 #include "model/generators.h"
 #include "obs/telemetry.h"
+#include "trajectory/analysis.h"
 #include "trajectory/batch.h"
+#include "trajectory/shard.h"
 #include "trajectory/stats.h"
 
 namespace tfa::trajectory {
@@ -110,6 +112,126 @@ TEST(StatsSemantics, SharedRegistryDeltasMatchPrivateRegistryRuns) {
             fresh_second.stats.cache_misses);
   EXPECT_EQ(shared_second.stats.warm_seeded_entries,
             fresh_second.stats.warm_seeded_entries);
+}
+
+// Every EngineStats field but the wall times.
+void expect_same_counters(const EngineStats& a, const EngineStats& b) {
+  EXPECT_EQ(a.smax_passes, b.smax_passes);
+  EXPECT_EQ(a.prefix_bounds, b.prefix_bounds);
+  EXPECT_EQ(a.test_points, b.test_points);
+  EXPECT_EQ(a.busy_period_iterations, b.busy_period_iterations);
+  EXPECT_EQ(a.warm_seeded_entries, b.warm_seeded_entries);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+  EXPECT_EQ(a.workers, b.workers);
+}
+
+TEST(StatsSemantics, AnalyzeCountersDoNotDependOnTheSink) {
+  const model::FlowSet set = base_set();
+  Config cfg;
+  cfg.workers = 2;
+
+  const Result none = analyze(set, cfg);
+  obs::Telemetry fresh;
+  const Result with_fresh = analyze(set, cfg, &fresh);
+  obs::Telemetry shared;
+  (void)analyze(grown_set(set), cfg, &shared);
+  const Result with_shared = analyze(set, cfg, &shared);
+
+  EXPECT_GT(none.stats.prefix_bounds, 0u);
+  EXPECT_EQ(none.stats.workers, 2u);
+  expect_same_counters(none.stats, with_fresh.stats);
+  expect_same_counters(none.stats, with_shared.stats);
+  // The fresh sink holds exactly this run's totals.
+  expect_same_counters(stats_view(fresh.metrics), none.stats);
+}
+
+TEST(StatsSemantics, ReanalyzeCountersDoNotDependOnTheSink) {
+  const model::FlowSet base = base_set();
+  const model::FlowSet grown = grown_set(base);
+  Config cfg;
+  cfg.workers = 1;
+
+  // The same cold-then-warm sequence three times: no sink, a fresh sink
+  // per call, and one sink shared across both calls.
+  AnalysisCache c_none;
+  const Result none1 = reanalyze_with(base, c_none, cfg);
+  const Result none2 = reanalyze_with(grown, c_none, cfg);
+
+  AnalysisCache c_fresh;
+  obs::Telemetry f1, f2;
+  const Result fresh1 = reanalyze_with(base, c_fresh, cfg, &f1);
+  const Result fresh2 = reanalyze_with(grown, c_fresh, cfg, &f2);
+
+  AnalysisCache c_shared;
+  obs::Telemetry shared;
+  const Result shared1 = reanalyze_with(base, c_shared, cfg, &shared);
+  const Result shared2 = reanalyze_with(grown, c_shared, cfg, &shared);
+
+  EXPECT_GT(none2.stats.cache_hits, 0u);
+  EXPECT_GT(none2.stats.warm_seeded_entries, 0u);
+  expect_same_counters(none1.stats, fresh1.stats);
+  expect_same_counters(none1.stats, shared1.stats);
+  expect_same_counters(none2.stats, fresh2.stats);
+  expect_same_counters(none2.stats, shared2.stats);
+}
+
+TEST(StatsSemantics, WorkersIsTheRunsOwnCountOnASharedSink) {
+  const model::FlowSet set = base_set();
+  obs::Telemetry shared;
+  Config wide;
+  wide.workers = 4;
+  (void)analyze(set, wide, &shared);
+  Config narrow;
+  narrow.workers = 1;
+  const Result r = analyze(set, narrow, &shared);
+  EXPECT_EQ(r.stats.workers, 1u);
+  // The registry gauge keeps the maximum it has seen.
+  EXPECT_EQ(stats_view(shared.metrics).workers, 4u);
+}
+
+// A sharded workload: many small, independent clusters.
+model::FlowSet clustered_set() {
+  model::FlowSet set(model::Network(40, 1, 3));
+  for (int c = 0; c < 8; ++c) {
+    const NodeId a = 5 * c;
+    set.add(model::SporadicFlow("c" + std::to_string(c) + "x",
+                                model::Path{a, a + 1, a + 2}, 200, 3, 1,
+                                4000));
+    set.add(model::SporadicFlow("c" + std::to_string(c) + "y",
+                                model::Path{a + 3, a + 1, a + 2, a + 4}, 300,
+                                5, 0, 4000));
+  }
+  return set;
+}
+
+TEST(StatsSemantics, ShardCountersDoNotDependOnAttachedTelemetry) {
+  const model::FlowSet set = clustered_set();
+  for (const std::size_t workers : {1u, 2u, 8u}) {
+    Config cfg;
+    cfg.workers = workers;
+    ShardedAnalyzer plain(set.network(), cfg);
+    ShardedAnalyzer observed(set.network(), cfg);
+    obs::Telemetry tel;
+    observed.attach_telemetry(&tel);
+    plain.load(set);
+    observed.load(set);
+
+    EngineStats plain_work;
+    EngineStats observed_work;
+    EXPECT_EQ(plain.settle(&plain_work), observed.settle(&observed_work));
+    EXPECT_GT(plain_work.prefix_bounds, 0u);
+    expect_same_counters(plain_work, observed_work);
+
+    const model::SporadicFlow candidate("newcomer", model::Path{0, 1, 2},
+                                        500, 2, 0, 100000);
+    const AdmitOutcome a = plain.admit(candidate);
+    const AdmitOutcome b = observed.admit(candidate);
+    EXPECT_EQ(a.admitted, b.admitted);
+    EXPECT_GT(a.stats.prefix_bounds, 0u);
+    expect_same_counters(a.stats, b.stats);
+    EXPECT_GT(tel.metrics.counter_value("shard.analyses"), 0);
+  }
 }
 
 TEST(StatsSemantics, MergeAddsAndDeltaSinceInverts) {
