@@ -1,19 +1,17 @@
-// Experiment: cost of the batch / incremental analysis front end
-// (trajectory/batch.h) on an admission-control-sized workload.
+// Experiment: cost of the parallel engine and the incremental analysis
+// front end (trajectory/batch.h) on an admission-control-sized workload.
 //
-// Three comparisons on one generated ~200-flow set:
+// Two comparisons on one generated ~200-flow set:
 //   1. sequential vs. parallel engine (Config::workers = 1 vs. hardware):
 //      identical bounds, wall-time speedup scales with real cores;
 //   2. from-scratch vs. warm-started re-analysis after adding one flow:
-//      the warm start must converge in strictly fewer Smax passes;
-//   3. analyze_many() fan-out over independent sets.
+//      the warm start must converge in strictly fewer Smax passes.
 //
 // Prints the EngineStats of every run.  Wall times depend on the host;
 // the pass/test-point counters are deterministic (docs/performance.md).
 //
 // Options (base/options.h):
 //   --flows N    workload size (default 200)
-//   --fleet N    independent sets for the analyze_many section (default 16)
 //   --json FILE  additionally write a machine-readable BENCH_batch.json
 //                record: {"bench","schema","workload","wall_ms","checks",
 //                "metrics"} with "metrics" the full registry dump
@@ -71,20 +69,16 @@ int main(int argc, char** argv) {
   OptionParser opts(argc, argv);
   const auto json_path = opts.value("--json");
   const auto flows_opt = opts.value("--flows");
-  const auto fleet_opt = opts.value("--fleet");
   if (!opts.error().empty() || !opts.unknown_options().empty() ||
       !opts.positionals().empty()) {
     std::fprintf(stderr,
-                 "usage: bench_batch [--flows N] [--fleet N] [--json FILE]\n");
+                 "usage: bench_batch [--flows N] [--json FILE]\n");
     return 2;
   }
   const std::int32_t flows =
       flows_opt ? std::atoi(flows_opt->c_str()) : 200;
-  const std::size_t fleet_size =
-      fleet_opt ? static_cast<std::size_t>(std::atoll(fleet_opt->c_str()))
-                : 16;
-  if (flows <= 1 || fleet_size == 0) {
-    std::fprintf(stderr, "bench_batch: --flows must be > 1, --fleet > 0\n");
+  if (flows <= 1) {
+    std::fprintf(stderr, "bench_batch: --flows must be > 1\n");
     return 2;
   }
 
@@ -163,51 +157,21 @@ int main(int argc, char** argv) {
               cold.stats.smax_passes,
               fewer ? "" : " (EXPECTED STRICTLY FEWER — BUG)");
 
-  // ---- 3. fan-out over independent sets.
-  std::vector<model::FlowSet> fleet;
-  for (std::uint64_t s = 0; s < fleet_size; ++s)
-    fleet.push_back(make_workload(100 + s, 48));
-
-  const auto seq_fleet_start = std::chrono::steady_clock::now();
-  const auto fleet_seq = trajectory::analyze_many(fleet, {}, 1, &tel);
-  const double fleet_seq_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - seq_fleet_start)
-          .count();
-  const auto par_fleet_start = std::chrono::steady_clock::now();
-  const auto fleet_par =
-      trajectory::analyze_many(fleet, {}, parallel_workers, &tel);
-  const double fleet_par_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - par_fleet_start)
-          .count();
-  bool fleet_same = true;
-  for (std::size_t i = 0; i < fleet.size(); ++i)
-    fleet_same = fleet_same && same_bounds(fleet_seq[i], fleet_par[i]);
-  std::printf(
-      "analyze_many over %zu sets: %.1f ms sequential, %.1f ms at %zu "
-      "workers (speedup %.2f, results identical: %s)\n",
-      fleet.size(), fleet_seq_ms, fleet_par_ms, parallel_workers,
-      fleet_seq_ms / fleet_par_ms, fleet_same ? "yes" : "NO — BUG");
-
   const bool ok = same_bounds(seq, par) && same_bounds(warm, cold) && fewer &&
-                  fleet_same && base.converged;
+                  base.converged;
 
   if (json_path) {
     const auto b = [](bool v) { return v ? "true" : "false"; };
     std::ostringstream js;
     js << "{\"bench\":\"bench_batch\",\"schema\":1,"
        << "\"workload\":{\"flows\":" << flows << ",\"nodes\":48"
-       << ",\"fleet\":" << fleet_size
        << ",\"workers\":" << parallel_workers << "},"
        << "\"wall_ms\":{\"sequential\":" << seq_ms
        << ",\"parallel\":" << par_ms << ",\"warm\":" << warm_ms
-       << ",\"cold\":" << cold_ms << ",\"fleet_sequential\":" << fleet_seq_ms
-       << ",\"fleet_parallel\":" << fleet_par_ms << "},"
+       << ",\"cold\":" << cold_ms << "},"
        << "\"checks\":{\"bounds_identical\":" << b(same_bounds(seq, par))
        << ",\"warm_bounds_identical\":" << b(same_bounds(warm, cold))
        << ",\"warm_fewer_passes\":" << b(fewer)
-       << ",\"fleet_identical\":" << b(fleet_same)
        << ",\"converged\":" << b(base.converged) << ",\"ok\":" << b(ok)
        << "},\"metrics\":" << tel.metrics.to_json() << "}\n";
     std::ofstream out(*json_path);

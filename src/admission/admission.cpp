@@ -156,7 +156,9 @@ AdmissionController::certified_bounds() const {
   switch (kind_) {
     case AnalysisKind::kTrajectory:
     case AnalysisKind::kTrajectoryEf: {
-      const trajectory::Result r = trajectory::analyze(set_, trajectory_cfg_);
+      // The sharded analyzer already holds these bounds (bit-identical to
+      // a whole-set analysis); only shards dirtied by a release re-run.
+      const trajectory::Result r = sharded_->result(set_);
       for (const auto& b : r.bounds)
         out.emplace_back(set_.flow(b.flow).name(), b.response);
       break;

@@ -89,7 +89,9 @@ class AdmissionController {
   }
 
   /// Response bounds certified for the admitted set (pairs of flow name
-  /// and bound), recomputed on demand.
+  /// and bound), in admission order.  The trajectory kinds read them from
+  /// the sharded analyzer (settling only shards a release left dirty); the
+  /// other kinds recompute them on demand.
   [[nodiscard]] std::vector<std::pair<std::string, Duration>>
   certified_bounds() const;
 

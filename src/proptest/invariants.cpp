@@ -694,7 +694,7 @@ CaseAnalysis analyze_case(const model::FlowSet& set, const CaseContext& ctx,
     }
     scfg.pattern = sim::ArrivalPattern::kRandomSporadic;
     scfg.link_mode = sim::LinkDelayMode::kUniformRandom;
-    for (const std::uint64_t seed : {1, 2}) {
+    for (const std::uint64_t seed : {std::uint64_t{1}, std::uint64_t{2}}) {
       scfg.seed = seed;
       fold(scfg);
     }

@@ -473,13 +473,15 @@ void Service::execute(const Request& r, const std::string& op_text,
                                    r.session + "'");
         return;
       }
-      model::FlowSet tentative = sess->set;
-      tentative.add(*flow);
-      if (const auto issues = tentative.validate(); !issues.empty()) {
+      // The session set is already valid and the name is new, so the
+      // flow validates on its own exactly as it would inside the set.
+      model::FlowSet solo(sess->set.network());
+      solo.add(*flow);
+      if (const auto issues = solo.validate(); !issues.empty()) {
         fail("invalid_flow_set", issues.front().message);
         return;
       }
-      sess->set = std::move(tentative);
+      sess->set.add(*flow);
       sess->sharded->add_flow(*flow);
       sess->invalidate_memo();
       respond_ok(seq, id_json, op_text, trace,

@@ -2,6 +2,10 @@
 // contribution): computes worst-case end-to-end response-time bounds for a
 // FlowSet under distributed FIFO scheduling (Property 2), or for its EF
 // class over non-preemptable background traffic (Property 3).
+//
+// analyze() is the cold case of reanalyze_with() (trajectory/batch.h): one
+// run path in batch.cpp validates, normalises, runs the Engine and
+// composes the Result, here over a fresh AnalysisCache.
 #pragma once
 
 #include "model/flow_set.h"
@@ -21,38 +25,16 @@ namespace tfa::trajectory {
 /// segment, summed across segments plus one link delay per junction) and
 /// is flagged `composed`.
 ///
+/// With a `telemetry` sink, spans ("trajectory.analyze" > normalise /
+/// engine / compose), convergence series, and the run's work counters
+/// land in it (accumulating — a long-lived Telemetry collects totals
+/// across calls).  Result::stats always reports THIS call's share only,
+/// however many runs the registry has seen.  nullptr does no telemetry
+/// work.
+///
 /// Precondition: `set.validate()` reports no issues and `set` is
 /// non-empty.
-[[nodiscard]] Result analyze(const model::FlowSet& set, const Config& cfg = {});
-
-/// analyze() with an observability sink: spans ("trajectory.analyze" >
-/// normalise / engine / compose), convergence series, and the run's work
-/// counters land in `telemetry` (accumulating — a long-lived Telemetry
-/// collects totals across calls).  Result::stats always reports THIS
-/// call's share only, however many runs the registry has seen.  nullptr
-/// behaves exactly like the two-argument overload and does no telemetry
-/// work.
-[[nodiscard]] Result analyze(const model::FlowSet& set, const Config& cfg,
-                             obs::Telemetry* telemetry);
-
-/// Convenience: Property-2 response-time bound of a single flow (by
-/// original index).  Returns kInfiniteDuration when divergent.
-[[nodiscard]] Duration response_bound(const model::FlowSet& set, FlowIndex i,
-                                      const Config& cfg = {});
-
-class Engine;
-
-namespace detail {
-
-/// Maps a finished engine's per-segment bounds back onto the original
-/// set's flows (composing Assumption-1 splits).  Per-hop profiles are
-/// read with Engine::prefix_response(); nothing is re-evaluated.  Shared
-/// by analyze() and the batch front end (trajectory/batch.h); not part
-/// of the public API.
-[[nodiscard]] Result compose(const model::FlowSet& set, const Config& cfg,
-                             const model::NormalisationReport& norm,
-                             const Engine& engine);
-
-}  // namespace detail
+[[nodiscard]] Result analyze(const model::FlowSet& set, const Config& cfg = {},
+                             obs::Telemetry* telemetry = nullptr);
 
 }  // namespace tfa::trajectory

@@ -2,8 +2,8 @@
 
 #include <utility>
 
+#include "base/checked.h"
 #include "base/contracts.h"
-#include "base/parallel.h"
 #include "model/normalize.h"
 #include "obs/telemetry.h"
 #include "trajectory/analysis.h"
@@ -89,29 +89,97 @@ bool analysable_under(const model::SporadicFlow& flow, const Config& cfg) {
   return !cfg.ef_mode || model::is_ef(flow.service_class());
 }
 
+/// Maps a finished engine's per-segment bounds back onto the original
+/// set's flows (composing Assumption-1 splits).  Per-hop profiles are read
+/// with Engine::prefix_response(); nothing is re-evaluated.
+Result compose(const model::FlowSet& set, const Config& cfg,
+               const model::NormalisationReport& norm, const Engine& engine) {
+  Result result;
+  result.converged = engine.converged();
+  result.smax_iterations = engine.iterations();
+  result.split_count = norm.split_count;
+
+  bool all_ok = true;
+
+  for (std::size_t orig = 0; orig < set.size(); ++orig) {
+    const auto oi = static_cast<FlowIndex>(orig);
+    const model::SporadicFlow& flow = set.flow(oi);
+    if (cfg.ef_mode && !model::is_ef(flow.service_class())) continue;
+
+    const auto& segments = norm.segments[orig];
+    TFA_ASSERT(!segments.empty());
+
+    FlowBound b;
+    b.flow = oi;
+    b.composed = segments.size() > 1;
+
+    // Sum the per-segment trajectory bounds, plus one worst-case link
+    // traversal per junction between consecutive segments.
+    Duration total = 0;
+    bool finite = true;
+    for (std::size_t s = 0; s < segments.size(); ++s) {
+      const PrefixBound& pb = engine.bound(segments[s]);
+      if (!pb.finite() || !engine.converged()) {
+        finite = false;
+        break;
+      }
+      total = sat_add(total, pb.response);
+      if (s + 1 < segments.size()) {
+        // One link traversal between consecutive segments.
+        const model::FlowSet& nfs = norm.flow_set;
+        total = sat_add(total,
+                        set.network().link_lmax(
+                            nfs.flow(segments[s]).path().last(),
+                            nfs.flow(segments[s + 1]).path().first()));
+      }
+      b.delta += pb.delta;
+      if (s == 0) {
+        b.busy_period = pb.busy_period;
+        b.critical_instant = pb.critical_instant;
+      }
+    }
+
+    // A composition that saturated is divergent even if every segment
+    // bound was individually finite.
+    finite = finite && !is_infinite(total);
+    b.response = finite ? total : kInfiniteDuration;
+    b.schedulable = finite && b.response <= flow.deadline();
+    b.jitter = finite
+                   ? b.response - model::best_case_response(set.network(), flow)
+                   : kInfiniteDuration;
+
+    // Per-hop profile (single-segment flows only: prefixes of a composed
+    // flow are not prefixes of the original path).  Read from the run's
+    // last Jacobi pass and extraction, which evaluated every prefix
+    // against the converged table; nothing is recomputed here.
+    if (!b.composed && finite) {
+      const std::size_t len = flow.path().size();
+      b.prefix_responses.reserve(len);
+      for (std::size_t k = 1; k <= len; ++k)
+        b.prefix_responses.push_back(engine.prefix_response(segments[0], k));
+    }
+    all_ok = all_ok && b.schedulable;
+    result.bounds.push_back(b);
+  }
+
+  result.all_schedulable = all_ok && !result.bounds.empty();
+  return result;
+}
+
 }  // namespace
 
-Duration AnalysisCache::busy_period(const std::string& name) const {
-  const auto it = rows_.find(name);
-  return it == rows_.end() ? kInfiniteDuration : it->second.busy_period;
-}
-
-void AnalysisCache::clear() {
-  rows_.clear();
-  context_ = 0;
-}
-
-Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
-                      const Config& cfg, obs::Telemetry* telemetry) {
+Result run_analysis(const model::FlowSet& set, AnalysisCache& cache,
+                    const Config& cfg, obs::Telemetry* telemetry,
+                    const char* root_span) {
   TFA_EXPECTS(!set.empty());
   const auto issues = set.validate();
   TFA_EXPECTS_MSG(issues.empty(), issues.front().message.c_str());
 
-  // Accounting like analyze(): Result::stats is this run's own
-  // EngineStats sink, into which the engine adds its work on top of the
-  // cache hits/misses counted here.  Without a caller's telemetry no
-  // telemetry work is done.
-  obs::Span reanalyze_span = obs::span(telemetry, "trajectory.reanalyze");
+  // Result::stats is this run's own EngineStats sink, into which the
+  // engine adds its work on top of the cache hits/misses counted here.
+  // A caller's telemetry additionally receives spans, series and the same
+  // totals; without one, no telemetry work is done at all.
+  obs::Span root = obs::span(telemetry, root_span);
 
   const model::NormalisationReport norm = [&] {
     obs::Span norm_span = obs::span(telemetry, "trajectory.normalise");
@@ -195,53 +263,29 @@ Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
       row.smax.reserve(f.path().size());
       for (std::size_t k = 0; k < f.path().size(); ++k)
         row.smax.push_back(engine.smax(fi, k));
-      row.busy_period = engine.bound(fi).busy_period;
     }
     cache.rows_.emplace(f.name(), std::move(row));
   }
 
   Result result = [&] {
     obs::Span compose_span = obs::span(telemetry, "trajectory.compose");
-    return detail::compose(set, cfg, norm, engine);
+    return compose(set, cfg, norm, engine);
   }();
   result.stats = stats;
   return result;
 }
 
-std::vector<Result> analyze_many(const std::vector<model::FlowSet>& sets,
-                                 const Config& cfg, std::size_t workers) {
-  return analyze_many(sets, cfg, workers, nullptr);
+Result analyze(const model::FlowSet& set, const Config& cfg,
+               obs::Telemetry* telemetry) {
+  // An empty cache never seeds and counts no hits or misses, so this is
+  // the cold run, bit for bit.
+  AnalysisCache cache;
+  return run_analysis(set, cache, cfg, telemetry, "trajectory.analyze");
 }
 
-std::vector<Result> analyze_many(const std::vector<model::FlowSet>& sets,
-                                 const Config& cfg, std::size_t workers,
-                                 obs::Telemetry* telemetry) {
-  TFA_EXPECTS(!sets.empty());
-  // Validate up front, on the caller's thread: a malformed set should die
-  // with its diagnostic here, not from inside a worker.
-  for (const model::FlowSet& s : sets) {
-    TFA_EXPECTS(!s.empty());
-    const auto issues = s.validate();
-    TFA_EXPECTS_MSG(issues.empty(), issues.front().message.c_str());
-  }
-  obs::Span many_span = obs::span(telemetry, "trajectory.analyze_many");
-  Config per_set = cfg;
-  per_set.workers = 1;  // the fan-out is the parallelism
-  std::vector<Result> out(sets.size());
-  parallel_for(
-      sets.size(), [&](std::size_t i) { out[i] = analyze(sets[i], per_set); },
-      workers);
-  // Aggregate publish, after the barrier and in set order: each per-set
-  // run collected into its own local sink (workers never touch the shared
-  // registry), so the totals are identical for every `workers`.
-  if (telemetry != nullptr) {
-    telemetry->metrics.counter("trajectory.sets_analyzed") +=
-        static_cast<std::int64_t>(sets.size());
-    EngineStats total;
-    for (const Result& r : out) total.merge(r.stats);
-    publish_stats(total, telemetry->metrics);
-  }
-  return out;
+Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
+                      const Config& cfg, obs::Telemetry* telemetry) {
+  return run_analysis(set, cache, cfg, telemetry, "trajectory.reanalyze");
 }
 
 }  // namespace tfa::trajectory

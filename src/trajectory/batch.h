@@ -1,19 +1,14 @@
-// Batch / incremental front end of the trajectory analysis.
+// Incremental front end of the trajectory analysis.
 //
 // Admission-control-style workloads analyse a long sequence of nearly
-// identical flow sets (admit one, re-analyse; release one, re-analyse) or
-// thousands of independent sets.  This module adds the two levers that
-// make those workloads cheap:
-//
-//  * parallelism — Config::workers spreads the per-flow test-point sweeps
-//    inside one engine run over base/parallel.h workers (bounds are
-//    bit-identical for every worker count; see docs/architecture.md), and
-//    analyze_many() fans whole sets out across workers;
-//  * reuse — an AnalysisCache memoizes the converged Smax fixed-point
-//    table and per-flow busy periods of a run, and reanalyze_with()
-//    warm-starts the next run's monotone fixed point from it whenever
-//    that is sound (the cached run's flows are a subset of the new set's;
-//    see docs/math.md, "Warm-starting the fixed point").
+// identical flow sets (admit one, re-analyse; release one, re-analyse).
+// An AnalysisCache memoizes the converged Smax fixed-point table of a run,
+// and reanalyze_with() warm-starts the next run's monotone fixed point
+// from it whenever that is sound (the cached run's flows are a subset of
+// the new set's; see docs/math.md, "Warm-starting the fixed point").
+// analyze() (trajectory/analysis.h) is the same run over a fresh cache;
+// Config::workers spreads either run's per-flow sweeps over base/parallel.h
+// workers with bit-identical bounds (docs/architecture.md).
 #pragma once
 
 #include <cstdint>
@@ -32,38 +27,31 @@ struct Telemetry;
 
 namespace tfa::trajectory {
 
-/// Memoized state of one analysis run: the Smax table rows and full-path
-/// busy periods of every analysed (normalised) flow, keyed by flow name
-/// and guarded by parameter fingerprints.  An instance belongs to one
-/// logical flow-set lineage; reanalyze_with() refreshes it on every call
-/// and silently falls back to a cold start whenever the cached state
-/// cannot soundly seed the new run (flow removed or modified, network or
-/// config changed).
+/// Memoized state of one analysis run: the Smax table rows of every
+/// analysed (normalised) flow, keyed by flow name and guarded by parameter
+/// fingerprints.  An instance belongs to one logical flow-set lineage;
+/// reanalyze_with() refreshes it on every call and silently falls back to
+/// a cold start whenever the cached state cannot soundly seed the new run
+/// (flow removed or modified, network or config changed).
 class AnalysisCache {
  public:
-  [[nodiscard]] bool empty() const noexcept { return rows_.empty(); }
-
   /// Number of cached flow rows (normalised flows of the last run).
   [[nodiscard]] std::size_t size() const noexcept { return rows_.size(); }
-
-  /// Cached full-path busy period B^slow of the normalised flow `name`,
-  /// or kInfiniteDuration when the flow is not cached.
-  [[nodiscard]] Duration busy_period(const std::string& name) const;
-
-  void clear();
 
  private:
   struct Row {
     std::uint64_t fingerprint = 0;  ///< Flow identity (path, T, C, J, class).
     std::vector<Duration> smax;     ///< Smax per path position.
-    Duration busy_period = kInfiniteDuration;
   };
 
   std::unordered_map<std::string, Row> rows_;
   std::uint64_t context_ = 0;  ///< Network + Config fingerprint.
 
-  friend Result reanalyze_with(const model::FlowSet& set, AnalysisCache& cache,
-                               const Config& cfg, obs::Telemetry* telemetry);
+  /// The one run path behind analyze() and reanalyze_with() (batch.cpp);
+  /// `root_span` names the caller's span.
+  friend Result run_analysis(const model::FlowSet& set, AnalysisCache& cache,
+                             const Config& cfg, obs::Telemetry* telemetry,
+                             const char* root_span);
 };
 
 /// Analyses `set` exactly like analyze() (same Result, same bounds — the
@@ -78,41 +66,16 @@ class AnalysisCache {
 /// other relation (flow removed, parameters changed) cold-starts, because
 /// the cached table could overestimate the new least fixed point.
 ///
+/// With a `telemetry` sink the run's spans (root "trajectory.reanalyze"),
+/// series and counters land in it.  The registry ACCUMULATES across calls
+/// — the natural use is one long-lived Telemetry per cache lineage — while
+/// Result::stats is the call's own accounting, so each call's wall times
+/// are reported exactly once (tests/trajectory/stats_semantics_test.cpp
+/// pins both halves).  nullptr does no telemetry work.
+///
 /// Precondition: `set` is non-empty and `set.validate()` is clean.
-[[nodiscard]] inline Result reanalyze_with(const model::FlowSet& set,
-                                           AnalysisCache& cache,
-                                           const Config& cfg = {}) {
-  return reanalyze_with(set, cache, cfg, nullptr);
-}
-
-/// reanalyze_with() with an observability sink.  The registry ACCUMULATES
-/// across calls (counters, timers, convergence series) — the natural use
-/// is one long-lived Telemetry per cache lineage — while Result::stats is
-/// the call's own accounting, so each call's wall times are reported
-/// exactly once (the regression test in
-/// tests/trajectory/stats_semantics_test.cpp pins both halves).  nullptr
-/// does no telemetry work.
 [[nodiscard]] Result reanalyze_with(const model::FlowSet& set,
-                                    AnalysisCache& cache, const Config& cfg,
-                                    obs::Telemetry* telemetry);
-
-/// Analyses many independent sets, fanning them out over `workers`
-/// threads (0 = hardware default).  Results are ordered like `sets`
-/// regardless of scheduling; each per-set engine runs sequentially
-/// (Config::workers is forced to 1) so the fan-out is the only
-/// parallelism.
-[[nodiscard]] std::vector<Result> analyze_many(
-    const std::vector<model::FlowSet>& sets, const Config& cfg = {},
-    std::size_t workers = 0);
-
-/// analyze_many() with an observability sink: one "trajectory.analyze_many"
-/// span, a "trajectory.sets_analyzed" counter, and the summed per-set work
-/// counters, published once after the fan-out in set order (per-set runs
-/// collect into private sinks, so the totals are deterministic for every
-/// `workers`).  Per-set series/spans are NOT forwarded — fan-out telemetry
-/// is aggregate by design.
-[[nodiscard]] std::vector<Result> analyze_many(
-    const std::vector<model::FlowSet>& sets, const Config& cfg,
-    std::size_t workers, obs::Telemetry* telemetry);
+                                    AnalysisCache& cache, const Config& cfg = {},
+                                    obs::Telemetry* telemetry = nullptr);
 
 }  // namespace tfa::trajectory

@@ -94,7 +94,7 @@ FpFifoResult analyze_fp_fifo(const model::FlowSet& set, Config cfg,
     cb.converged = engine.converged();
 
     // Map back to original flows, composing split segments (same rule as
-    // analysis.cpp: per-segment bounds plus one link per junction).
+    // batch.cpp: per-segment bounds plus one link per junction).
     for (std::size_t orig = 0; orig < set.size(); ++orig) {
       const auto oi = static_cast<FlowIndex>(orig);
       const model::SporadicFlow& flow = set.flow(oi);

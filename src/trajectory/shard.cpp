@@ -332,7 +332,7 @@ std::size_t ShardedAnalyzer::settle(EngineStats* work) {
     return observed ? &sinks[k] : nullptr;
   };
   if (dirty.size() > 1 && fan > 1) {
-    // Fan the dirty shards out like analyze_many: the fan-out is the only
+    // Fan the dirty shards out over the workers: the fan-out is the only
     // parallelism (per-shard engines at workers=1), results land in
     // pre-sized slots, and all publishing happens afterwards in shard-id
     // order — so bounds AND telemetry are bit-identical for every fan.
@@ -448,11 +448,13 @@ AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
   }
 
   if (!ok) {
-    // `tentative` is in name order, so over a certified set (no unhealthy
-    // shard) front() is the smallest violating name — evaluate()'s pick.
+    // Name the smallest violating name over the tentative union AND the
+    // unhealthy untouched shards — evaluate()'s pick on the whole set.
     out.reason = out.violating.empty()
                      ? "analysis did not converge"
-                     : "deadline miss certified for: " + out.violating.front();
+                     : "deadline miss certified for: " +
+                           *std::min_element(out.violating.begin(),
+                                             out.violating.end());
     return out;
   }
 

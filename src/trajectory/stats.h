@@ -35,7 +35,7 @@ struct EngineStats {
   /// bound (0 on a from-scratch run).
   std::size_t warm_seeded_entries = 0;
   /// Flow rows found in / missing from the cache by the warm-start
-  /// validity check (both 0 when no cache was supplied).
+  /// validity check (both 0 when the cache was empty, as in analyze()).
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   /// Wall time solving the global Smax fixed point, nanoseconds.

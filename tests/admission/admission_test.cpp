@@ -1,8 +1,13 @@
 // Tests of the edge admission controller.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "admission/admission.h"
 #include "model/paper_example.h"
+#include "trajectory/analysis.h"
 
 namespace tfa::admission {
 namespace {
@@ -31,6 +36,42 @@ TEST(Admission, AdmitsTheWholePaperExample) {
   ASSERT_EQ(bounds.size(), 5u);
   for (std::size_t i = 0; i < 5; ++i)
     EXPECT_EQ(bounds[i].second, model::kArrivalTrajectoryBounds[i]);
+}
+
+/// (name, bound) pairs of a cold whole-set trajectory analysis, in the
+/// set's order — what certified_bounds() must report.
+std::vector<std::pair<std::string, Duration>> cold_bounds(
+    const model::FlowSet& set, bool ef_mode) {
+  trajectory::Config cfg;
+  cfg.ef_mode = ef_mode;
+  std::vector<std::pair<std::string, Duration>> out;
+  for (const auto& b : trajectory::analyze(set, cfg).bounds)
+    out.emplace_back(set.flow(b.flow).name(), b.response);
+  return out;
+}
+
+TEST(Admission, CertifiedBoundsEqualAColdAnalysisAcrossAdmitsAndReleases) {
+  // EF kind with a background flow: certified_bounds() comes from the
+  // sharded analyzer, so it must stay equal to a cold analysis of the
+  // admitted set after admits, after a release that re-partitions a
+  // shard, and after the background flow leaves.
+  AdmissionController ac(Network(12, 1, 1), AnalysisKind::kTrajectoryEf);
+  ASSERT_TRUE(ac.request(SporadicFlow("bulk", Path{2, 3, 4, 7}, 400, 2, 0,
+                                      100000, ServiceClass::kBestEffort))
+                  .admitted);
+  const model::FlowSet example = model::paper_example();
+  for (const SporadicFlow& f : example.flows())
+    ASSERT_TRUE(ac.request(f).admitted) << f.name();
+  const auto admitted = ac.certified_bounds();
+  EXPECT_EQ(admitted.size(), 5u);  // the background flow is not bounded
+  EXPECT_EQ(admitted, cold_bounds(ac.admitted(), true));
+  ASSERT_TRUE(ac.release("tau3"));
+  const auto released = ac.certified_bounds();
+  EXPECT_EQ(released, cold_bounds(ac.admitted(), true));
+  ASSERT_TRUE(ac.release("bulk"));
+  const auto no_background = ac.certified_bounds();
+  EXPECT_EQ(no_background, cold_bounds(ac.admitted(), true));
+  EXPECT_NE(no_background, released);  // the background's delta is gone
 }
 
 TEST(Admission, RejectsFlowThatWouldBreakAnExistingDeadline) {

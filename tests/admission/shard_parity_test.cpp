@@ -164,6 +164,26 @@ TEST(ShardParity, DeadlineMiss) {
   }
 }
 
+TEST(ShardParity, MissInUntouchedShardsNamesTheSmallestViolator) {
+  // A set loaded unschedulable: m1 and b1 (deadline 9, bound 13) miss in
+  // two shards, the one built first holding m1.  The candidate touches
+  // neither, so only their standing verdicts veto it — and the reason
+  // must name the smallest violator over the whole set, as evaluate()
+  // does, not the first shard's.
+  FlowSet set(Network(8, 1, 1));
+  set.add(SporadicFlow("m1", Path{4, 5}, 50, 4, 0, 9));
+  set.add(SporadicFlow("m2", Path{4, 5}, 50, 4, 0, 100));
+  set.add(SporadicFlow("b1", Path{0, 1}, 50, 4, 0, 9));
+  set.add(SporadicFlow("b2", Path{0, 1}, 50, 4, 0, 100));
+  for (const AnalysisKind kind : kKinds) {
+    const Decision d = expect_parity(
+        set, SporadicFlow("c", Path{6, 7}, 50, 4, 0, 100), kind,
+        "miss in untouched shards");
+    EXPECT_FALSE(d.admitted);
+    EXPECT_EQ(d.reason, "deadline miss certified for: b1");
+  }
+}
+
 TEST(ShardParity, AdmittedIntoOneShard) {
   for (const AnalysisKind kind : kKinds) {
     const Decision d = expect_parity(

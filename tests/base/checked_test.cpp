@@ -16,6 +16,7 @@ namespace tfa {
 namespace {
 
 constexpr Duration kInf = kInfiniteDuration;
+__extension__ typedef __int128 Wide;  // NOLINT: suppresses -Wpedantic
 
 TEST(SatAdd, PlainSumsAreExact) {
   EXPECT_EQ(sat_add(0, 0), 0);
@@ -193,10 +194,9 @@ TEST(ClampMulThreshold, IsTheExactSaturationBoundaryOfTheProduct) {
     const Duration thr = clamp_mul_threshold(cost);
     // At the threshold the product saturates; one below it does not —
     // verified in __int128 so the check itself cannot wrap.
-    EXPECT_GE(static_cast<__int128>(thr) * cost, static_cast<__int128>(kInf))
+    EXPECT_GE(static_cast<Wide>(thr) * cost, static_cast<Wide>(kInf))
         << "cost=" << cost;
-    EXPECT_LT(static_cast<__int128>(thr - 1) * cost,
-              static_cast<__int128>(kInf))
+    EXPECT_LT(static_cast<Wide>(thr - 1) * cost, static_cast<Wide>(kInf))
         << "cost=" << cost;
   }
 }

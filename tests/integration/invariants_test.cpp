@@ -141,8 +141,9 @@ TEST_P(Invariants, SimulatorIsWorkConservingAndFifoPerNode) {
       EXPECT_GE(cur.start, prev.completion);
       // Work conservation: the server never idles while work is queued —
       // if cur arrived before prev completed, cur starts immediately.
-      if (cur.arrival <= prev.completion)
+      if (cur.arrival <= prev.completion) {
         EXPECT_EQ(cur.start, prev.completion);
+      }
       // FIFO: service order matches arrival order (the default
       // discipline; ties may go either way at equal arrivals).
       EXPECT_LE(prev.arrival, cur.arrival);

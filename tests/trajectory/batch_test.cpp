@@ -1,12 +1,11 @@
-// Tests of the batch / incremental front end (trajectory/batch.h): the
+// Tests of the incremental front end (trajectory/batch.h): the
 // determinism guarantee of the parallel engine (identical bounds for every
 // worker count), warm-start soundness and effectiveness of the
-// AnalysisCache, the Table-2 regression through the batch path, and the
-// analyze() precondition contract.
+// AnalysisCache, the Table-2 regression through the batch path, analyze()
+// as the cold case of reanalyze_with(), and the precondition contract.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "base/rng.h"
 #include "model/generators.h"
@@ -251,15 +250,48 @@ TEST(BatchWarmStart, RepeatedReanalysisConvergesInOnePass) {
   expect_identical(analyze(set), again);
 }
 
-TEST(BatchMany, MatchesIndividualAnalysisInOrder) {
-  std::vector<FlowSet> sets;
-  for (const std::uint64_t seed : {2u, 4u, 6u, 8u}) {
-    sets.push_back(random_set(seed, 8));
+TEST(BatchColdPath, AnalyzeEqualsReanalyzeOverAFreshCache) {
+  // analyze() is reanalyze_with() over a throwaway empty cache: same
+  // bounds, same engine work, and no cache or warm-start counters.
+  Config completion;
+  completion.smax_semantics = SmaxSemantics::kCompletion;
+  for (const std::uint64_t seed : {5u, 7u, 23u}) {
+    const FlowSet set = batch_workload(seed);
+    for (const Config& cfg : {Config{}, completion}) {
+      SCOPED_TRACE("seed " + std::to_string(seed));
+      AnalysisCache fresh;
+      const Result via_cache = reanalyze_with(set, fresh, cfg);
+      const Result cold = analyze(set, cfg);
+      expect_identical(via_cache, cold);
+      EXPECT_EQ(cold.stats.smax_passes, via_cache.stats.smax_passes);
+      EXPECT_EQ(cold.stats.prefix_bounds, via_cache.stats.prefix_bounds);
+      EXPECT_EQ(cold.stats.test_points, via_cache.stats.test_points);
+      EXPECT_EQ(cold.stats.busy_period_iterations,
+                via_cache.stats.busy_period_iterations);
+      EXPECT_EQ(cold.stats.cache_hits, 0u);
+      EXPECT_EQ(cold.stats.cache_misses, 0u);
+      EXPECT_EQ(cold.stats.warm_seeded_entries, 0u);
+      EXPECT_EQ(via_cache.stats.cache_hits, 0u);
+      EXPECT_EQ(via_cache.stats.cache_misses, 0u);
+      EXPECT_EQ(via_cache.stats.warm_seeded_entries, 0u);
+    }
   }
-  const std::vector<Result> many = analyze_many(sets, {}, 4);
-  ASSERT_EQ(many.size(), sets.size());
-  for (std::size_t i = 0; i < sets.size(); ++i)
-    expect_identical(analyze(sets[i]), many[i]);
+}
+
+TEST(BatchColdPath, RepeatedAnalyzeNeverWarmStarts) {
+  // The cache analyze() builds is local to the call: a second analysis of
+  // the same set does the full cold work again instead of confirming a
+  // warm table in one pass.
+  const FlowSet set = batch_workload(5);
+  const Result first = analyze(set);
+  const Result second = analyze(set);
+  ASSERT_GT(first.stats.smax_passes, 1u);
+  expect_identical(first, second);
+  EXPECT_EQ(second.stats.smax_passes, first.stats.smax_passes);
+  EXPECT_EQ(second.stats.prefix_bounds, first.stats.prefix_bounds);
+  EXPECT_EQ(second.stats.test_points, first.stats.test_points);
+  EXPECT_EQ(second.stats.warm_seeded_entries, 0u);
+  EXPECT_EQ(second.stats.cache_hits, 0u);
 }
 
 TEST(BatchContracts, AnalyzeRejectsInvalidSetWithClearMessage) {
@@ -277,26 +309,10 @@ TEST(BatchContracts, AnalyzeRejectsEmptySet) {
   EXPECT_DEATH((void)analyze(set), "precondition");
 }
 
-TEST(BatchContracts, AnalyzeManyRejectsEmptyBatch) {
-  EXPECT_DEATH((void)analyze_many({}), "precondition");
-}
-
-TEST(BatchContracts, AnalyzeManyRejectsEmptyMemberSet) {
-  std::vector<FlowSet> sets;
-  sets.push_back(random_set(2, 4));
-  sets.emplace_back(Network(2, 1, 1));  // empty straggler
-  EXPECT_DEATH((void)analyze_many(sets), "precondition");
-}
-
-TEST(BatchContracts, AnalyzeManyRejectsDuplicateFlowIdsWithDiagnostic) {
-  FlowSet bad(Network(2, 1, 1));
-  bad.add(SporadicFlow("dup", Path{0, 1}, 100, 2, 0, 50));
-  bad.add(SporadicFlow("dup", Path{0, 1}, 100, 2, 0, 50));
-  std::vector<FlowSet> sets;
-  sets.push_back(random_set(2, 4));
-  sets.push_back(bad);
-  EXPECT_DEATH((void)analyze_many(sets), "precondition");
-  EXPECT_DEATH((void)analyze_many(sets), "dup");  // names the flow
+TEST(BatchContracts, ReanalyzeRejectsEmptySet) {
+  const FlowSet set(Network(2, 1, 1));
+  AnalysisCache cache;
+  EXPECT_DEATH((void)reanalyze_with(set, cache), "precondition");
 }
 
 }  // namespace

@@ -113,7 +113,7 @@ Duration paper_bound_with_extra_cost(Duration extra) {
     set.add(SporadicFlow(f.name(), f.path(), f.period(), std::move(costs),
                          f.jitter(), f.deadline() + 1000));
   }
-  return response_bound(set, 0);  // observe tau1
+  return analyze(set).find(0)->response;  // observe tau1
 }
 
 TEST(EngineProperty, BoundMonotoneInInterfererCost) {
@@ -146,8 +146,8 @@ TEST(EngineProperty, ShrinkingPeriodNeverTightensBounds) {
     }
     return set;
   };
-  const Duration loose = response_bound(build(36), 0);
-  const Duration tight = response_bound(build(18), 0);
+  const Duration loose = analyze(build(36)).find(0)->response;
+  const Duration tight = analyze(build(18)).find(0)->response;
   EXPECT_GE(tight, loose);
 }
 
