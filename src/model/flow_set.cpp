@@ -48,6 +48,48 @@ void FlowSet::replace(FlowIndex i, SporadicFlow flow) {
   flows_[static_cast<std::size_t>(i)] = std::move(flow);
 }
 
+std::vector<ValidationIssue> validate_flow(const Network& net,
+                                           const SporadicFlow& f) {
+  std::vector<ValidationIssue> issues;
+  bool nodes_ok = true;
+  for (const NodeId h : f.path().nodes())
+    if (!net.contains(h)) {
+      nodes_ok = false;
+      issues.push_back(
+          {0, "path node " + std::to_string(h) + " outside the network"});
+    }
+  if (!nodes_ok) return issues;
+  // Overflow-safe envelope: the single-packet terms the engines add
+  // blindly — release jitter, period, deadline, per-hop costs, the
+  // worst-case link traversals — must stay below kInfiniteDuration.
+  // Past that, even a single operator application can only saturate,
+  // so no finite bound exists for the flow and admitting it would make
+  // every analysis read "unschedulable" at best and be meaningless at
+  // worst.  Computed with the saturating ops so the check itself can
+  // never wrap.
+  Duration envelope = sat_add(f.jitter(), f.period());
+  envelope = sat_add(envelope, f.deadline());
+  for (std::size_t k = 0; k < f.path().size(); ++k)
+    envelope = sat_add(envelope, f.cost_at_position(k));
+  envelope =
+      sat_add(envelope, net.path_lmax_sum(f.path(), f.path().size() - 1));
+  if (is_infinite(envelope)) {
+    issues.push_back(
+        {0, "flow parameters exceed the overflow-safe envelope "
+            "(jitter + period + deadline + costs + link delays reach "
+            "the infinite-duration sentinel)"});
+    return issues;  // the deadline check below would overflow the same way
+  }
+  if (f.deadline() < best_case_response(net, f))
+    issues.push_back({0, "deadline below the best-case end-to-end response"});
+  if (!f.arrival().empty()) {
+    const std::string spec_issue =
+        validate_arrival_spec(f.arrival(), f.period(), f.jitter());
+    if (!spec_issue.empty()) issues.push_back({0, spec_issue});
+  }
+  return issues;
+}
+
 std::vector<ValidationIssue> FlowSet::validate() const {
   std::vector<ValidationIssue> issues;
   std::unordered_set<std::string> names;
@@ -56,42 +98,9 @@ std::vector<ValidationIssue> FlowSet::validate() const {
     const SporadicFlow& f = flows_[i];
     if (!names.insert(f.name()).second)
       issues.push_back({fi, "duplicate flow name '" + f.name() + "'"});
-    bool nodes_ok = true;
-    for (const NodeId h : f.path().nodes())
-      if (!network_.contains(h)) {
-        nodes_ok = false;
-        issues.push_back({fi, "path node " + std::to_string(h) +
-                                  " outside the network"});
-      }
-    if (!nodes_ok) continue;
-    // Overflow-safe envelope: the single-packet terms the engines add
-    // blindly — release jitter, period, deadline, per-hop costs, the
-    // worst-case link traversals — must stay below kInfiniteDuration.
-    // Past that, even a single operator application can only saturate,
-    // so no finite bound exists for the flow and admitting it would make
-    // every analysis read "unschedulable" at best and be meaningless at
-    // worst.  Computed with the saturating ops so the check itself can
-    // never wrap.
-    Duration envelope = sat_add(f.jitter(), f.period());
-    envelope = sat_add(envelope, f.deadline());
-    for (std::size_t k = 0; k < f.path().size(); ++k)
-      envelope = sat_add(envelope, f.cost_at_position(k));
-    envelope = sat_add(
-        envelope, network_.path_lmax_sum(f.path(), f.path().size() - 1));
-    if (is_infinite(envelope)) {
-      issues.push_back(
-          {fi, "flow parameters exceed the overflow-safe envelope "
-               "(jitter + period + deadline + costs + link delays reach "
-               "the infinite-duration sentinel)"});
-      continue;  // the deadline check below would overflow the same way
-    }
-    if (f.deadline() < best_case_response(network_, f))
-      issues.push_back({fi,
-                        "deadline below the best-case end-to-end response"});
-    if (!f.arrival().empty()) {
-      const std::string spec_issue =
-          validate_arrival_spec(f.arrival(), f.period(), f.jitter());
-      if (!spec_issue.empty()) issues.push_back({fi, spec_issue});
+    for (ValidationIssue& issue : validate_flow(network_, f)) {
+      issue.flow = fi;
+      issues.push_back(std::move(issue));
     }
   }
   return issues;

@@ -26,6 +26,12 @@ struct ValidationIssue {
 [[nodiscard]] Duration best_case_response(const Network& net,
                                           const SporadicFlow& flow);
 
+/// The issues FlowSet::validate() reports for a set holding only `flow`
+/// on `net` (index 0): every per-flow check, none of which a lone flow's
+/// name can fail.  Used to vet one flow before it joins a valid set.
+[[nodiscard]] std::vector<ValidationIssue> validate_flow(
+    const Network& net, const SporadicFlow& flow);
+
 /// Network + flows.
 class FlowSet {
  public:

@@ -425,36 +425,6 @@ CheckOutcome worker_determinism(const CaseAnalysis& c) {
   return {};
 }
 
-CheckOutcome kernel_equivalence(const CaseAnalysis& c) {
-  // The SoA kernels change the evaluation strategy (staged clamp loops,
-  // incremental event-driven sweep), never the candidate set, any
-  // saturation outcome, or the iteration counts — the clamp-form
-  // equivalence proofs in docs/math.md made executable.  Bounds AND work
-  // counters must agree bit for bit.
-  const std::string why = bounds_mismatch(c.scalar_kernel, c.arrival);
-  if (!why.empty())
-    return {Verdict::kViolation,
-            "Kernel::kSoa differs from Kernel::kScalar: " + why};
-  if (c.scalar_kernel.stats.smax_passes != c.arrival.stats.smax_passes ||
-      c.scalar_kernel.stats.test_points != c.arrival.stats.test_points ||
-      c.scalar_kernel.stats.prefix_bounds != c.arrival.stats.prefix_bounds ||
-      c.scalar_kernel.stats.busy_period_iterations !=
-          c.arrival.stats.busy_period_iterations)
-    return {Verdict::kViolation,
-            "work counters depend on the kernel (scalar smax_passes=" +
-                std::to_string(c.scalar_kernel.stats.smax_passes) +
-                " test_points=" +
-                std::to_string(c.scalar_kernel.stats.test_points) +
-                " busy_period_iterations=" +
-                std::to_string(c.scalar_kernel.stats.busy_period_iterations) +
-                ", soa smax_passes=" +
-                std::to_string(c.arrival.stats.smax_passes) + " test_points=" +
-                std::to_string(c.arrival.stats.test_points) +
-                " busy_period_iterations=" +
-                std::to_string(c.arrival.stats.busy_period_iterations) + ")"};
-  return {};
-}
-
 CheckOutcome shard_equivalence(const CaseAnalysis& c) {
   // The shard decomposition must be invisible in the results: analysing
   // each connected component of the flow-dependency graph in isolation
@@ -763,11 +733,6 @@ CaseAnalysis analyze_case(const model::FlowSet& set, const CaseContext& ctx,
   multi.workers = ctx.det_workers;
   c.multi_worker = trajectory::analyze(set, multi);
 
-  // Reference saturating fold, for the kernel-equivalence invariant.
-  trajectory::Config scalar = arr;
-  scalar.kernel = trajectory::Kernel::kScalar;
-  c.scalar_kernel = trajectory::analyze(set, scalar);
-
   // Sharded-analyzer runs.  Every result is remapped from the analyzer's
   // canonical (name-sorted) flow order back into `set`'s insertion order,
   // so the invariants can reuse bounds_mismatch against `arrival`.
@@ -869,10 +834,6 @@ const std::vector<Invariant>& invariant_registry() {
       {"worker-determinism",
        "bounds and work counters identical for every Config::workers",
        worker_determinism},
-      {"kernel-equivalence",
-       "SoA kernels == scalar saturating fold, bounds and counters bit "
-       "for bit",
-       kernel_equivalence},
       {"shard-equivalence",
        "sharded analysis == global engine, bit for bit, any worker count",
        shard_equivalence},

@@ -16,8 +16,6 @@
 //   reuse          reanalyze_with == cold analysis, bit for bit
 //   round trip     serialize/parse is the identity (text and bounds)
 //   determinism    Config::workers in {1..8} gives bit-identical results
-//   kernels        Kernel::kScalar and Kernel::kSoa agree bit for bit,
-//                  bounds and work counters alike
 //   sharding       the sharded incremental analyzer == the global engine,
 //                  both when loaded whole and after a scripted
 //                  add/remove/perturb sequence ending at the same set
@@ -101,11 +99,6 @@ struct CaseAnalysis {
   trajectory::Result reparsed_arrival;
 
   trajectory::Result multi_worker;  ///< workers = ctx.det_workers.
-
-  /// Arrival semantics evaluated with Kernel::kScalar (the reference
-  /// saturating fold); the kernel-equivalence invariant bit-compares it
-  /// against `arrival` (Kernel::kSoa default), counters included.
-  trajectory::Result scalar_kernel;
 
   /// Sharded-analyzer runs (trajectory/shard.h), each remapped into the
   /// original set's flow order so bounds_mismatch-style comparisons with

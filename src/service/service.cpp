@@ -475,9 +475,8 @@ void Service::execute(const Request& r, const std::string& op_text,
       }
       // The session set is already valid and the name is new, so the
       // flow validates on its own exactly as it would inside the set.
-      model::FlowSet solo(sess->set.network());
-      solo.add(*flow);
-      if (const auto issues = solo.validate(); !issues.empty()) {
+      if (const auto issues = model::validate_flow(sess->set.network(), *flow);
+          !issues.empty()) {
         fail("invalid_flow_set", issues.front().message);
         return;
       }

@@ -75,10 +75,6 @@ std::uint64_t context_fingerprint(const model::Network& net,
   h.mix(cfg.max_smax_iterations);
   h.mix(static_cast<std::uint64_t>(cfg.exhaustive_sweep_limit));
   h.mix(static_cast<std::uint64_t>(cfg.max_sweep_candidates));
-  // The kernel choice is mixed in defensively even though kScalar and
-  // kSoa are bit-identical today: a warm start must never survive into a
-  // kernel whose equivalence proof has been invalidated by a future edit.
-  h.mix(static_cast<std::uint64_t>(cfg.kernel));
   return h.value();
 }
 

@@ -306,8 +306,7 @@ void Engine::build_prefix_contexts() {
           ctx.seed = seed;
           const FixedPointResult bp = iterate_fixed_point(
               seed,
-              [&](Duration b) { return ctx.busy.apply(b, ctx.delta,
-                                                      cfg_.kernel); },
+              [&](Duration b) { return ctx.busy.apply(b, ctx.delta); },
               cfg_.divergence_ceiling, std::size_t{1} << 20, nullptr);
           ctx.bp_iterations = bp.iterations;
           ctx.bp_converged = bp.converged();
@@ -342,10 +341,16 @@ void Engine::build_prefix_contexts() {
             min_at[pos] = mn;
           }
 
-          // M_i^{P_i[pos]} as a cumulative sum (paper Section 2.2).
-          std::vector<Duration> m_cum(prefix + 1, 0);
-          for (std::size_t pos = 0; pos < prefix; ++pos)
-            m_cum[pos + 1] = m_cum[pos] + min_at[pos] + set_.network().lmin();
+          // M_i^{P_i[pos]} as a cumulative sum (paper Section 2.2), each
+          // hop charged its own link's Lmin.  Only entries below `prefix`
+          // are read (pos_i_fij < prefix), so the last hop's link — which
+          // leaves the prefix — is never needed.
+          std::vector<Duration> m_cum(prefix, 0);
+          for (std::size_t pos = 0; pos + 1 < prefix; ++pos)
+            m_cum[pos + 1] =
+                m_cum[pos] + min_at[pos] +
+                set_.network().link_lmin(fi.path().at(pos),
+                                         fi.path().at(pos + 1));
 
           // ---- Constant part of W: the third, fourth and fifth terms.
           const std::size_t slow_pos =
@@ -404,7 +409,6 @@ PrefixBound Engine::prefix_bound(FlowIndex i, std::size_t prefix,
   if (stats != nullptr) ++stats->prefix_bounds;
 
   const std::size_t iu = static_cast<std::size_t>(i);
-  const Kernel kernel = cfg_.kernel;
   const PrefixContext& ctx = prefix_ctx_[iu][prefix - 1];
 
   // ---- B^slow (Lemma 3): the operator has no Smax input, so the fixed
@@ -418,7 +422,7 @@ PrefixBound Engine::prefix_bound(FlowIndex i, std::size_t prefix,
     BusyBatch busy = ctx.busy;
     (void)iterate_fixed_point(
         ctx.seed,
-        [&](Duration b) { return busy.apply(b, ctx.delta, kernel); },
+        [&](Duration b) { return busy.apply(b, ctx.delta); },
         cfg_.divergence_ceiling, std::size_t{1} << 20, bp_trace);
   }
 
@@ -494,13 +498,12 @@ PrefixBound Engine::prefix_bound(FlowIndex i, std::size_t prefix,
       if (projected > cfg_.max_sweep_candidates) return out;  // divergent
     }
 
-    // kSoa walks the sorted candidates once, bumping the workload sum at
-    // every count-step event, instead of re-evaluating all terms at every
+    // Walk the sorted candidates once, bumping the workload sum at every
+    // count-step event, instead of re-evaluating all terms at every
     // candidate.  That is exact only when no term can saturate anywhere
     // in the sweep range; otherwise every candidate goes through the
     // staged kernel, whose per-term saturation matches the scalar fold.
-    const bool incremental =
-        kernel == Kernel::kSoa && terms.sweep_hazard_free(t_begin, t_end);
+    const bool incremental = terms.sweep_hazard_free(t_begin, t_end);
 
     thread_local std::vector<Time> candidates;
     candidates.clear();
@@ -575,7 +578,7 @@ PrefixBound Engine::prefix_bound(FlowIndex i, std::size_t prefix,
     } else {
       for (const Time t : candidates) {
         const Duration r =
-            sat_add(terms.workload(t, constant, kernel), c_last - t);
+            sat_add(terms.workload(t, constant), c_last - t);
         if (r > best) {
           best = r;
           best_t = t;
@@ -590,7 +593,7 @@ PrefixBound Engine::prefix_bound(FlowIndex i, std::size_t prefix,
       return out;  // too long to sweep: report as divergent
     for (Time t = t_begin; t < t_end; ++t) {
       if (stats != nullptr) ++stats->test_points;
-      const Duration base = terms.workload(t, constant, kernel);
+      const Duration base = terms.workload(t, constant);
       // A saturated base is divergence, not a seed: the fixed point below
       // would read kInfiniteDuration == kInfiniteDuration as converged
       // and report a finite-looking bound built on overflow.
@@ -598,7 +601,7 @@ PrefixBound Engine::prefix_bound(FlowIndex i, std::size_t prefix,
       Duration w = base;
       for (;;) {
         if (stats != nullptr) ++stats->busy_period_iterations;
-        const Duration next = hp_terms.workload(t + w, base, kernel);
+        const Duration next = hp_terms.workload(t + w, base);
         TFA_ASSERT(next >= w);
         // Same classification inside the iteration: a saturated
         // higher-priority term means the bound is unbounded, never a

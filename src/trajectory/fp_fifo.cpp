@@ -74,9 +74,6 @@ FpFifoResult analyze_fp_fifo(const model::FlowSet& set, Config cfg,
       return e->smax(j, pos);
     };
 
-    // The per-class engines inherit Config::kernel: the FP/FIFO
-    // per-instant fixed point runs on the class's higher-priority
-    // TermBatch (see src/trajectory/soa.h), bit-identical either way.
     EngineOptions opts;
     opts.stats = &result.stats;
     opts.telemetry = telemetry;

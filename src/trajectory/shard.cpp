@@ -179,13 +179,9 @@ void ShardedAnalyzer::load(const model::FlowSet& set) {
 
 ShardOutcome ShardedAnalyzer::add_flow(const model::SporadicFlow& flow) {
   TFA_EXPECTS(!flows_.contains(flow.name()));
-  {
-    model::FlowSet solo(net_);
-    solo.add(flow);
-    const auto issues = solo.validate();
-    TFA_EXPECTS_MSG(issues.empty(),
-                    issues.empty() ? "" : issues.front().message.c_str());
-  }
+  const auto issues = model::validate_flow(net_, flow);
+  TFA_EXPECTS_MSG(issues.empty(),
+                  issues.empty() ? "" : issues.front().message.c_str());
   ++stats_.requests;
   const std::vector<ShardId> members = member_shards(flow);
   const ShardId target = apply_merge(members, flow);
@@ -371,13 +367,10 @@ AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
         "a flow named '" + candidate.name() + "' is already admitted";
     return out;
   }
-  {
-    model::FlowSet solo(net_);
-    solo.add(candidate);
-    if (const auto issues = solo.validate(); !issues.empty()) {
-      out.reason = "invalid request: " + issues.front().message;
-      return out;
-    }
+  if (const auto issues = model::validate_flow(net_, candidate);
+      !issues.empty()) {
+    out.reason = "invalid request: " + issues.front().message;
+    return out;
   }
 
   // Tentative set = the union of every shard the candidate's path touches,

@@ -18,7 +18,6 @@
 
 #include "base/checked.h"
 #include "base/contracts.h"
-#include "base/math.h"
 
 namespace tfa::trajectory {
 
@@ -95,21 +94,7 @@ void TermBatch::push(Duration offset, Duration period, Duration cost) {
   thr_.push_back(clamp_mul_threshold(cost));
 }
 
-Duration TermBatch::workload(Time t, Duration w0, Kernel kernel) {
-  return kernel == Kernel::kScalar ? workload_scalar(t, w0)
-                                   : workload_staged(t, w0);
-}
-
-Duration TermBatch::workload_scalar(Time t, Duration w0) const {
-  Duration w = w0;
-  const std::size_t n = size();
-  for (std::size_t j = 0; j < n; ++j)
-    w = sat_add(w, sat_sporadic_term(sat_add(t, offset_[j]), period_[j],
-                                     cost_[j]));
-  return w;
-}
-
-Duration TermBatch::workload_staged(Time t, Duration w0) {
+Duration TermBatch::workload(Time t, Duration w0) {
   const std::size_t n = size();
   win_.resize(n);
   cnt_.resize(n);
@@ -198,16 +183,9 @@ void BusyBatch::push(Duration period, Duration cost) {
   thr_.push_back(clamp_mul_threshold(cost));
 }
 
-Duration BusyBatch::apply(Duration b, Duration base, Kernel kernel) {
+Duration BusyBatch::apply(Duration b, Duration base) {
   TFA_EXPECTS(b >= 0);
   const std::size_t n = size();
-  if (kernel == Kernel::kScalar) {
-    Duration sum = base;
-    for (std::size_t j = 0; j < n; ++j)
-      sum = sat_add(sum, sat_ceil_div_mul(b, period_[j], cost_[j]));
-    return sum;
-  }
-
   cnt_.resize(n);
   contrib_.resize(n);
   const Duration* __restrict per = period_.data();

@@ -2,9 +2,7 @@
 //
 // prefix_bound() evaluates the same three sums thousands of times per
 // Jacobi pass: the Lemma-3 busy-period operator, the Property-2/3
-// workload W_i(t), and the FP/FIFO per-instant fixed point.  The scalar
-// engine folds them term by term over an array-of-structs with one
-// saturating checked op (branch per element) per term.  The batches
+// workload W_i(t), and the FP/FIFO per-instant fixed point.  The batches
 // below pack the terms into parallel arrays (offset / period / cost /
 // saturation threshold) built once per prefix evaluation, and evaluate
 // them in staged loops of branch-free clamp ops (base/checked.h) that
@@ -12,17 +10,19 @@
 // path for the exact candidate sweep that eliminates the per-candidate
 // re-evaluation entirely.
 //
-// Bit-identity contract: for either Kernel every entry point returns
-// exactly the value of the scalar saturating fold, element order
-// included.  The clamp ops are pointwise equal to the sat ops
-// (docs/math.md, "Clamp-form saturating ops"), and the staged/
-// incremental summations are order-insensitive: over nonnegative terms
-// the fold equals kInfiniteDuration when ANY term saturates (the staged
-// kernel's per-term flag handles this — a plain clamp would not, since
-// a negative w0 could pull a saturated sum back under the ceiling), and
+// Bit-identity contract: every entry point returns exactly the value of
+// the scalar saturating fold (one sat op per term, in push order).  The
+// clamp ops are pointwise equal to the sat ops (docs/math.md,
+// "Clamp-form saturating ops"), and the staged/incremental summations
+// are order-insensitive: over nonnegative terms the fold equals
+// kInfiniteDuration when ANY term saturates (the staged kernel's
+// per-term flag handles this — a plain clamp would not, since a negative
+// w0 could pull a saturated sum back under the ceiling), and
 // clamp(w0 + exact sum) otherwise, regardless of association (same doc,
-// "Plain-sum + clamp equivalence").  tests/proptest enforces the
-// contract differentially on every corner family.
+// "Plain-sum + clamp equivalence").  The scalar folds live only in
+// tests/proptest/scalar_reference.h, which checks the kernels against
+// them directly and the whole engine against a from-scratch Property 2/3
+// evaluation built on them.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "base/types.h"
-#include "trajectory/types.h"
 
 namespace tfa::trajectory {
 
@@ -57,11 +56,9 @@ class TermBatch {
   [[nodiscard]] Duration period(std::size_t j) const { return period_[j]; }
   [[nodiscard]] Duration cost(std::size_t j) const { return cost_[j]; }
 
-  /// The saturating fold w0 ⊕ Σ_j term_j(t): for kScalar one sat op per
-  /// term in push order, for kSoa the staged clamp kernels.  Identical
-  /// results by the equivalence proofs.  Non-const: kSoa uses the
-  /// batch-owned scratch lanes.
-  [[nodiscard]] Duration workload(Time t, Duration w0, Kernel kernel);
+  /// The saturating fold w0 ⊕ Σ_j term_j(t), by the staged clamp
+  /// kernels.  Non-const: the stages use the batch-owned scratch lanes.
+  [[nodiscard]] Duration workload(Time t, Duration w0);
 
   /// True when the incremental sweep is exact over every t in
   /// [t_begin, t_end): no window, count, or product can saturate or
@@ -75,9 +72,6 @@ class TermBatch {
   [[nodiscard]] WideSum sweep_base(Time t_begin) const;
 
  private:
-  [[nodiscard]] Duration workload_scalar(Time t, Duration w0) const;
-  [[nodiscard]] Duration workload_staged(Time t, Duration w0);
-
   std::vector<Duration> offset_;
   std::vector<Duration> period_;
   std::vector<Duration> cost_;
@@ -102,7 +96,7 @@ class BusyBatch {
   [[nodiscard]] std::size_t size() const noexcept { return period_.size(); }
 
   /// The saturating fold base ⊕ Σ_j ceil(b/T_j)*c_j for b >= 0.
-  [[nodiscard]] Duration apply(Duration b, Duration base, Kernel kernel);
+  [[nodiscard]] Duration apply(Duration b, Duration base);
 
  private:
   std::vector<Duration> period_;

@@ -25,27 +25,10 @@ enum class SmaxSemantics {
   kCompletion,
 };
 
-/// Which implementation evaluates the engine's interference sums.
-enum class Kernel {
-  /// Reference fold: one saturating checked op per term, in term order
-  /// (the pre-SoA engine, kept as the differential baseline).
-  kScalar,
-  /// Structure-of-arrays staged kernels: branch-free clamp ops over
-  /// contiguous lanes plus an event-driven incremental candidate sweep.
-  /// Bit-identical to kScalar — bounds, counters, critical instants —
-  /// by the clamp-form equivalence proofs (docs/math.md) and enforced
-  /// by the differential proptest invariant.
-  kSoa,
-};
-
 /// Tuning knobs of the analysis.
 struct Config {
   /// Interpretation of Smax in the A_{i,j} offsets.
   SmaxSemantics smax_semantics = SmaxSemantics::kArrival;
-
-  /// Interference-sum implementation.  Results are bit-identical either
-  /// way; kScalar exists as the differential-testing baseline.
-  Kernel kernel = Kernel::kSoa;
 
   /// Treat the set as a DiffServ EF deployment (Property 3): only EF flows
   /// are scheduled FIFO against each other; all other classes contribute

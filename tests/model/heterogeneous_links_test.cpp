@@ -104,6 +104,22 @@ TEST(HeterogeneousLinks, SlowerLinkNeverTightensBounds) {
   }
 }
 
+TEST(HeterogeneousLinks, MTermChargesEachHopItsOwnLmin) {
+  // A_{i,j} subtracts M_i^{first_ij}, whose hops each cost their own
+  // link's Lmin.  Link 0 -> 1 overrides Lmin to 0 (default 10), so M at
+  // node 1 is C_i^0 + 0, not C_i^0 + 10: the smaller M widens the j
+  // flows' windows and the bound grows from 43 to 49.
+  Network net(3, 10, 10);
+  net.set_link(0, 1, 0, 10);
+  FlowSet set(net);
+  set.add(SporadicFlow("i", Path{0, 1, 2}, 100, 5, 0, 1000));
+  set.add(SporadicFlow("j1", Path{1, 2}, 12, 4, 0, 1000));
+  set.add(SporadicFlow("j2", Path{1, 2}, 12, 4, 0, 1000));
+  const model::FlowSetGeometry geo(set);
+  EXPECT_EQ(geo.m_term(0, 1, 3), 5 + 0);
+  EXPECT_EQ(trajectory::analyze(set).bounds[0].response, 49);
+}
+
 TEST(HeterogeneousLinks, AllAnalysesStaySoundUnderSimulation) {
   Network net(5, 1, 3);
   net.set_link(0, 2, 4, 10);

@@ -2,7 +2,9 @@
 // the engine's bound, for Property 2 and Property 3 alike.
 #include <gtest/gtest.h>
 
+#include "model/normalize.h"
 #include "model/paper_example.h"
+#include "model/serialize.h"
 #include "trajectory/explain.h"
 
 namespace tfa::trajectory {
@@ -81,6 +83,37 @@ TEST(Explain, RendersReadableText) {
   EXPECT_NE(text.find("tau2"), std::string::npos);
   EXPECT_NE(text.find("(reverse)"), std::string::npos);
   EXPECT_NE(text.find("joiner maxima"), std::string::npos);
+}
+
+TEST(Explain, ReassemblesBoundsOnPerLinkLminOverrides) {
+  // Per-link overrides whose Lmin differs from the network default on
+  // the hops M_i^h sums over (generated fuzz case 28 of sweep 0x50A0).
+  // The explainer charges each hop its own link's Lmin; the engine has to
+  // agree, or explain()'s reassembly postcondition aborts.
+  const model::ParseResult parsed = model::parse_flow_set(
+      "network 8 0 3\n"
+      "link 0 6 3 6\n"
+      "link 2 0 3 5\n"
+      "link 6 5 5 6\n"
+      "link 7 5 5 10\n"
+      "flow rnd0 EF 65 4 288 path 2 0 6 5 costs 4 4 2 3\n"
+      "flow rnd1 EF 180 2 132 path 6 0 5 costs 4 3 4\n"
+      "flow rnd2 EF 32 1 120 path 4 6 5 costs 3 1 1\n"
+      "flow rnd3 EF 80 4 96 path 4 5 1 costs 3 1 4\n"
+      "flow rnd4 EF 105 0 60 path 5 3 costs 1 4\n"
+      "flow rnd5 EF 178 4 36 path 2 costs 3\n"
+      "flow rnd6 EF 51 9 48 path 4 costs 4\n"
+      "flow rnd7 EF 102 8 156 path 1 4 0 6 costs 3 1 2 4\n"
+      "flow rnd8 EF 199 9 120 path 7 5 2 costs 1 3 1\n");
+  ASSERT_TRUE(parsed.ok());
+  const model::NormalisationReport norm = model::normalise(*parsed.flow_set);
+  const Engine engine(norm.flow_set, Config{});
+  ASSERT_TRUE(engine.converged());
+  for (std::size_t i = 0; i < norm.flow_set.size(); ++i) {
+    const auto fi = static_cast<FlowIndex>(i);
+    const Explanation ex = explain(engine, fi);
+    EXPECT_EQ(ex.response, engine.bound(fi).response) << "flow " << i;
+  }
 }
 
 TEST(ExplainDeathTest, RejectsBackgroundFlows) {

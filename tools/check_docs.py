@@ -21,7 +21,9 @@ cross-checked in both directions: every operation named in
 docs/service.md's operation table must exist in the `Op::k...` switch of
 src/service/protocol.cpp, and every implemented operation must have a
 table row — a new op cannot ship undocumented, and the docs cannot
-describe an op that was renamed or removed.
+describe an op that was renamed or removed.  docs/testing.md's invariant
+table is held to the registry in src/proptest/invariants.cpp the same
+way.
 
 Usage: check_docs.py [repo_root]   (exits non-zero listing every broken
 reference; wired into ctest as `docs_check`).
@@ -147,6 +149,55 @@ def check_service_ops(root: Path) -> list:
     return errors
 
 
+# Registry entries in invariants.cpp: `{"name",` opening an Invariant.
+REGISTERED_INVARIANT = re.compile(r'\{"([a-z0-9\-]+)",')
+# Invariant-table rows in docs/testing.md: `| \`name\` | claim |`.
+DOCUMENTED_INVARIANT = re.compile(r"^\|\s*`([a-z0-9\-]+)`\s*\|")
+
+
+def check_invariants(root: Path) -> list:
+    """docs/testing.md's invariant table must match the registry, both ways."""
+    registry = root / "src" / "proptest" / "invariants.cpp"
+    doc = root / "docs" / "testing.md"
+    if not registry.is_file() or not doc.is_file():
+        return []  # nothing to cross-check in a partial tree
+    # Only the registry initializer counts: from `kRegistry = {` to the
+    # first `};` after it.
+    source = registry.read_text(errors="replace")
+    start = source.find("kRegistry = {")
+    end = source.find("};", start)
+    registered = set(REGISTERED_INVARIANT.findall(
+        source[start:end] if start >= 0 and end >= 0 else ""))
+    documented = set()
+    in_table = False
+    for line in doc.read_text(errors="replace").splitlines():
+        if re.match(r"^\|\s*invariant\s*\|", line):
+            in_table = True
+            continue
+        if not in_table:
+            continue
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        match = DOCUMENTED_INVARIANT.match(line)
+        if match:
+            documented.add(match.group(1))
+    errors = []
+    for name in sorted(documented - registered):
+        errors.append(
+            f"docs/testing.md: invariant '{name}' is documented but not "
+            "registered in src/proptest/invariants.cpp")
+    for name in sorted(registered - documented):
+        errors.append(
+            f"docs/testing.md: invariant '{name}' is registered in "
+            "src/proptest/invariants.cpp but has no table row")
+    if not registered:
+        errors.append(
+            "tools/check_docs.py: no invariants parsed from "
+            "src/proptest/invariants.cpp — update REGISTERED_INVARIANT")
+    return errors
+
+
 def check_docs_index(root: Path, references: dict) -> list:
     """Every docs/*.md must be referenced from README.md or another doc."""
     errors = []
@@ -193,6 +244,7 @@ def main() -> int:
                     outgoing.add(f"docs/{tok}")
     errors += check_docs_index(root, references)
     errors += check_service_ops(root)
+    errors += check_invariants(root)
     for e in errors:
         print(e)
     if errors:
