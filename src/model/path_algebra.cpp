@@ -12,13 +12,21 @@ FlowSetGeometry::FlowSetGeometry(const FlowSet& set) : set_(&set) {
   const auto node_count = static_cast<std::size_t>(set.network().node_count());
 
   pos_.resize(n);
+  smin_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     pos_[i].assign(node_count, -1);
-    const Path& p = set.flow(static_cast<FlowIndex>(i)).path();
+    const SporadicFlow& f = set.flow(static_cast<FlowIndex>(i));
+    const Path& p = f.path();
+    smin_[i].resize(p.size());
+    Duration s = 0;
     for (std::size_t k = 0; k < p.size(); ++k) {
       const NodeId h = p.at(k);
       TFA_EXPECTS(static_cast<std::size_t>(h) < node_count);
       pos_[i][static_cast<std::size_t>(h)] = static_cast<std::ptrdiff_t>(k);
+      // Smin over the strict prefix: C_i plus Lmin of every earlier hop.
+      smin_[i][k] = s;
+      if (k + 1 < p.size())
+        s += f.cost_at_position(k) + set.network().link_lmin(h, p.at(k + 1));
     }
   }
 
@@ -96,13 +104,10 @@ const PairGeometry& FlowSetGeometry::pair(FlowIndex i, FlowIndex j) const {
 }
 
 Duration FlowSetGeometry::smin(FlowIndex i, std::size_t pos) const {
-  const SporadicFlow& f = set_->flow(i);
-  TFA_EXPECTS(pos < f.path().size());
-  Duration s = 0;
-  for (std::size_t k = 0; k < pos; ++k)
-    s += f.cost_at_position(k) +
-         set_->network().link_lmin(f.path().at(k), f.path().at(k + 1));
-  return s;
+  TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < smin_.size());
+  const std::vector<Duration>& row = smin_[static_cast<std::size_t>(i)];
+  TFA_EXPECTS(pos < row.size());
+  return row[pos];
 }
 
 Duration FlowSetGeometry::m_term(FlowIndex i, std::size_t pos,

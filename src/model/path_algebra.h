@@ -41,6 +41,10 @@ struct PairGeometry {
 /// outlive the geometry and must not be mutated while in use.
 class FlowSetGeometry {
  public:
+  /// An empty geometry over no set: a placeholder to assign a built one
+  /// to (the trajectory engine times the build).  No accessor may be
+  /// called on it.
+  FlowSetGeometry() = default;
   explicit FlowSetGeometry(const FlowSet& set);
 
   [[nodiscard]] const FlowSet& flow_set() const noexcept { return *set_; }
@@ -60,7 +64,8 @@ class FlowSetGeometry {
   [[nodiscard]] const PairGeometry& pair(FlowIndex i, FlowIndex j) const;
 
   /// Smin_i^{P_i[pos]}: minimum time from generation to arrival on the
-  /// pos-th node of P_i — sum of C_i and Lmin over the strict prefix.
+  /// pos-th node of P_i — sum of C_i and Lmin over the strict prefix
+  /// (a lookup in a cumulative table built with the geometry).
   [[nodiscard]] Duration smin(FlowIndex i, std::size_t pos) const;
 
   /// M_i^{P_i[pos]} (paper Section 2.2): for each node strictly before
@@ -91,8 +96,9 @@ class FlowSetGeometry {
   [[nodiscard]] PairGeometry compute_pair(FlowIndex i, FlowIndex j,
                                           std::size_t prefix_i) const;
 
-  const FlowSet* set_;
+  const FlowSet* set_ = nullptr;
   std::vector<std::vector<std::ptrdiff_t>> pos_;   // [flow][node] -> position
+  std::vector<std::vector<Duration>> smin_;        // [flow][position]
   std::vector<PairGeometry> full_pairs_;           // [i * n + j]
   std::vector<std::vector<FlowIndex>> full_interferers_;  // [i]
 };

@@ -45,6 +45,7 @@ std::vector<std::pair<std::string, std::string>> stats_rows(
       {"warm-seeded Smax entries", std::to_string(st.warm_seeded_entries)},
       {"cache hits / misses", std::to_string(st.cache_hits) + " / " +
                                  std::to_string(st.cache_misses)},
+      {"construction wall time", ms(st.build_ns)},
       {"fixed-point wall time", ms(st.fixed_point_ns)},
       {"bound-extraction wall time", ms(st.extract_ns)},
       {"worker threads", std::to_string(st.workers)},

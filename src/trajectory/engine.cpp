@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <span>
+#include <tuple>
 #include <utility>
 
 #include "base/checked.h"
@@ -59,7 +61,111 @@ struct StepCursor {
   std::int64_t k = 0;
 };
 
+/// Restores the min-heap order (earliest instant on top, children of
+/// entry h at 2h + 1 and 2h + 2) below entry `h` after its instant grew
+/// or it was replaced.  One sift per event, where a pop followed by a
+/// push would take two.
+void sift_down(std::vector<StepCursor>& heap, std::size_t h) {
+  const std::size_t n = heap.size();
+  if (h >= n) return;
+  const StepCursor moving = heap[h];
+  for (;;) {
+    std::size_t c = 2 * h + 1;
+    if (c >= n) break;
+    if (c + 1 < n && heap[c + 1].t < heap[c].t) ++c;
+    if (heap[c].t >= moving.t) break;
+    heap[h] = heap[c];
+    h = c;
+  }
+  heap[h] = moving;
+}
+
 }  // namespace
+
+CandidateSweep sweep_candidates(TermBatch& terms, Time t_begin, Time t_end,
+                                Duration constant, Duration c_last,
+                                std::size_t budget) {
+  TFA_EXPECTS(t_begin <= t_end);
+  constexpr CandidateSweep kDiverged{.diverged = true};
+  // Count before enumerating: a busy period just under the divergence
+  // ceiling beside a small-period interferer projects billions of
+  // candidates.  Past the budget the sweep reports divergence, the same
+  // way the FP/FIFO branch treats over-long exhaustive sweeps (see
+  // Config::max_sweep_candidates).
+  //
+  // Each term's steps occur at t = k * T - offset, k >= k_lo; its merge
+  // cursor starts at the first step after t_begin (a step exactly at
+  // t_begin is already inside the workload at t_begin).  A step that
+  // wraps int64 is divergence, never a candidate: the projection cannot
+  // see a wrapped product, and a wrapped t re-enters the sweep range
+  // and corrupts the candidate set (or never reaches t_end at all).
+  const std::size_t tn = terms.size();
+  thread_local std::vector<StepCursor> steps;
+  steps.clear();
+  std::size_t projected = 1;
+  for (std::size_t x = 0; x < tn; ++x) {
+    Time lo = 0;
+    Time hi = 0;
+    if (!checked_add_time(t_begin, terms.offset(x), &lo) ||
+        !checked_add_time(t_end, terms.offset(x), &hi))
+      return kDiverged;  // wrapped window edge, not a candidate set
+    StepCursor cur{0, static_cast<std::uint32_t>(x),
+                   ceil_div(lo, terms.period(x))};
+    const std::int64_t k_hi = ceil_div(hi, terms.period(x));
+    if (k_hi > cur.k) projected += static_cast<std::size_t>(k_hi - cur.k);
+    if (projected > budget) return kDiverged;
+    if (!checked_step_instant(cur.k, terms.period(x), terms.offset(x),
+                              &cur.t))
+      return kDiverged;  // wrapped step instant
+    if (cur.t == t_begin &&
+        !checked_step_instant(++cur.k, terms.period(x), terms.offset(x),
+                              &cur.t))
+      return kDiverged;  // wrapped step instant
+    if (cur.t < t_end) steps.push_back(cur);
+  }
+
+  // One walk over the distinct candidate instants in increasing order:
+  // a k-way merge of the per-term step streams through a min-heap of
+  // one cursor per term, evaluating W once per instant after absorbing
+  // every step there.  When no term can saturate anywhere in the sweep
+  // range the walk bumps an exact wide sum at each step (k >= 0 moves
+  // the count 1 + k - 1 -> 1 + k; k < 0 leaves (1 + k)^+ clamped at
+  // zero); otherwise every instant goes through the staged kernel,
+  // whose per-term saturation matches the scalar fold.
+  const bool incremental = terms.sweep_hazard_free(t_begin, t_end);
+  WideSum sum = incremental ? terms.sweep_base(t_begin) : 0;
+  for (std::size_t h = steps.size() / 2; h-- > 0;) sift_down(steps, h);
+  CandidateSweep sweep;
+  for (Time t = t_begin;;) {
+    const Duration w = incremental ? clamp_wide(constant, sum)
+                                   : terms.workload(t, constant);
+    const Duration r = sat_add(w, c_last - t);
+    ++sweep.test_points;
+    if (r > sweep.best) {
+      sweep.best = r;
+      sweep.best_t = t;
+    }
+    if (steps.empty()) break;
+    t = steps.front().t;
+    do {
+      StepCursor& cur = steps.front();
+      if (incremental && cur.k >= 0) sum += terms.cost(cur.term);
+      Time next_t = 0;
+      if (!checked_step_instant(cur.k + 1, terms.period(cur.term),
+                                terms.offset(cur.term), &next_t))
+        return kDiverged;  // wrapped step instant
+      if (next_t < t_end) {
+        cur.t = next_t;
+        ++cur.k;
+      } else {
+        cur = steps.back();
+        steps.pop_back();
+      }
+      sift_down(steps, 0);
+    } while (!steps.empty() && steps.front().t == t);
+  }
+  return sweep;
+}
 
 Engine::Engine(const model::FlowSet& set, const Config& cfg)
     : Engine(set, cfg, default_roles(set, cfg), EngineOptions{}) {}
@@ -73,13 +179,22 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles)
 
 Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
                const EngineOptions& opts)
-    : set_(set), cfg_(cfg), geometry_(set) {
+    : set_(set), cfg_(cfg) {
   TFA_EXPECTS(model::satisfies_assumption1(set));
   workers_ = cfg_.workers == 0 ? default_worker_count() : cfg_.workers;
 
   const std::size_t n = set.size();
   TFA_EXPECTS(roles.same.size() == n && roles.higher.size() == n &&
               roles.blockers.size() == n);
+
+  obs::Telemetry* tel = opts.telemetry;
+  obs::Span engine_span = obs::span(tel, "trajectory.engine");
+
+  // ---- Construction: the geometry, the cold (or warm) Smax seed and the
+  // static prefix contexts, timed as one layer.
+  const auto build_start = std::chrono::steady_clock::now();
+  obs::Span build_span = obs::span(tel, "trajectory.build");
+  geometry_ = model::FlowSetGeometry(set);
   mask_ = std::move(roles.same);
   hp_mask_ = std::move(roles.higher);
   higher_smax_ = std::move(roles.higher_smax);
@@ -136,17 +251,15 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
 
   // Static per-(flow, prefix) inputs of prefix_bound(): computed once,
   // here, instead of on every call of every pass (they are all
-  // Smax-free).  Rows are disjoint, so the parallel build is
-  // deterministic for every worker count.
+  // Smax-free).  Deterministic for every worker count.
   build_prefix_contexts();
+  build_span.end();
+  const std::int64_t build_ns = elapsed_ns(build_start);
 
   // Per-flow stat partials, merged in index order below so every counter
   // is independent of the worker schedule.
-  obs::Telemetry* tel = opts.telemetry;
   const bool instrument = opts.stats != nullptr || tel != nullptr;
   std::vector<EngineStats> partials(instrument ? n : 0);
-
-  obs::Span engine_span = obs::span(tel, "trajectory.engine");
 
   const auto fp_start = std::chrono::steady_clock::now();
   {
@@ -185,6 +298,7 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
     for (const EngineStats& p : partials) total.merge(p);
     total.smax_passes = iterations_;
     total.warm_seeded_entries = warm_entries;
+    total.build_ns = build_ns;
     total.fixed_point_ns = fp_ns;
     total.extract_ns = elapsed_ns(extract_start);
     total.workers = workers_;
@@ -244,6 +358,106 @@ Duration Engine::smax(FlowIndex i, std::size_t pos) const {
 void Engine::build_prefix_contexts() {
   const std::size_t n = set_.size();
   prefix_ctx_.resize(n);
+
+  // ---- Lemma-3 keys.  B^slow of prefix (i, k) is the fixed point of an
+  // operator fixed by the prefix's node set N and the blocking delay
+  // delta alone: its terms are the aggregate and higher-priority flows
+  // meeting N, each at max_{h in P_j ∩ N} C_j^h, seeded with delta plus
+  // one packet of each (docs/math.md, "One busy period per (node set,
+  // δ)").  The keys are collected per flow (disjoint rows), then
+  // deduplicated in sorted order, so the solve list and each solve's
+  // representative prefix are the same for every worker count without
+  // a lock.
+  struct BusyKey {
+    std::vector<NodeId> nodes;  ///< The prefix's node set, sorted.
+    Duration delta = 0;
+    std::size_t flow = 0;
+    std::size_t prefix = 0;
+  };
+  std::vector<std::vector<BusyKey>> keys(n);
+  parallel_for(
+      n,
+      [&](std::size_t iu) {
+        if (!mask_[iu]) return;
+        const auto i = static_cast<FlowIndex>(iu);
+        const std::span<const NodeId> path = set_.flow(i).path().nodes();
+        prefix_ctx_[iu].resize(path.size());
+        keys[iu].resize(path.size());
+        for (std::size_t prefix = 1; prefix <= path.size(); ++prefix) {
+          BusyKey& key = keys[iu][prefix - 1];
+          key.nodes.assign(path.begin(),
+                           path.begin() + static_cast<std::ptrdiff_t>(prefix));
+          std::sort(key.nodes.begin(), key.nodes.end());
+          // Non-preemption delay (Property 3 / FP-FIFO): it reads tau_i's
+          // own costs, so it is part of the key.
+          key.delta = delta_enabled_ ? non_preemption_delay(
+                                           geometry_, i, prefix, non_blockers_)
+                                     : 0;
+          key.flow = iu;
+          key.prefix = prefix;
+        }
+      },
+      workers_);
+
+  std::vector<const BusyKey*> order;
+  for (const std::vector<BusyKey>& row : keys)
+    for (const BusyKey& key : row) order.push_back(&key);
+  std::sort(order.begin(), order.end(),
+            [](const BusyKey* a, const BusyKey* b) {
+              return std::tie(a->nodes, a->delta, a->flow, a->prefix) <
+                     std::tie(b->nodes, b->delta, b->flow, b->prefix);
+            });
+  std::vector<const BusyKey*> reps;  // first prefix of every distinct key
+  for (const BusyKey* key : order) {
+    if (reps.empty() || reps.back()->nodes != key->nodes ||
+        reps.back()->delta != key->delta)
+      reps.push_back(key);
+    prefix_ctx_[key->flow][key->prefix - 1].busy = reps.size() - 1;
+  }
+
+  // ---- B^slow: one busy-period fixed point per distinct key, over
+  // everything that can occupy the servers ahead of m (Lemma 3;
+  // higher-priority traffic included).  The blocking delta is part of the
+  // fixed point, not a constant added after it: a blocked aggregate must
+  // drain the blocking work too, and at aggregate utilisation 1 a
+  // positive delta correctly makes B diverge (B = delta + B has no finite
+  // solution) instead of converging to a spurious small fixed point that
+  // undercuts the simulator.  The representative's terms come in its own
+  // candidate order; the seed fold and BusyBatch::apply are
+  // order-insensitive (docs/math.md, "Plain-sum + clamp equivalence"), so
+  // every prefix sharing the key gets the same iterates.
+  busy_solves_.resize(reps.size());
+  parallel_for(
+      reps.size(),
+      [&](std::size_t s) {
+        const BusyKey& key = *reps[s];
+        const auto i = static_cast<FlowIndex>(key.flow);
+        BusySolve& bs = busy_solves_[s];
+        bs.delta = key.delta;
+        Duration seed = key.delta;
+        const auto add = [&](FlowIndex j) {
+          const model::PairGeometry g = geometry_.pair(i, j, key.prefix);
+          seed = sat_add(seed, g.c_slow_ji);  // incl. j == i
+          if (g.intersects)
+            bs.busy.push(flow_period_[static_cast<std::size_t>(j)],
+                         g.c_slow_ji);
+        };
+        add(i);
+        for (const FlowIndex j : geometry_.interferers(i)) {
+          const auto ju = static_cast<std::size_t>(j);
+          if (mask_[ju] || hp_mask_[ju]) add(j);
+        }
+        bs.seed = seed;
+        const FixedPointResult bp = iterate_fixed_point(
+            seed, [&](Duration b) { return bs.busy.apply(b, bs.delta); },
+            cfg_.divergence_ceiling, std::size_t{1} << 20, nullptr);
+        bs.iterations = bp.iterations;
+        bs.converged = bp.converged();
+        if (bs.converged) bs.busy_period = bp.value;
+      },
+      workers_);
+
+  // ---- Everything else, per (flow, prefix); rows are disjoint.
   parallel_for(
       n,
       [&](std::size_t iu) {
@@ -251,13 +465,19 @@ void Engine::build_prefix_contexts() {
         const auto i = static_cast<FlowIndex>(iu);
         const model::SporadicFlow& fi = set_.flow(i);
         const std::size_t len = fi.path().size();
-        prefix_ctx_[iu].resize(len);
         const std::vector<FlowIndex>& nbrs = geometry_.interferers(i);
 
         std::vector<std::size_t> cand;
         std::vector<model::PairGeometry> pg;
+        std::size_t slow_pos = 0;  // first maximum of the prefix's costs
         for (std::size_t prefix = 1; prefix <= len; ++prefix) {
+          if (fi.cost_at_position(prefix - 1) > fi.cost_at_position(slow_pos))
+            slow_pos = prefix - 1;
           PrefixContext& ctx = prefix_ctx_[iu][prefix - 1];
+          const BusySolve& bs = busy_solves_[ctx.busy];
+          // Divergent busy period: prefix_bound() returns before touching
+          // anything below, so nothing below is computed.
+          if (!bs.converged) continue;
 
           // ---- Pairwise geometry vs. this prefix, restricted to the
           // candidate interferers: tau_i itself plus every full-path
@@ -280,41 +500,6 @@ void Engine::build_prefix_contexts() {
             pg.push_back(geometry_.pair(i, j, prefix));
           }
           const std::size_t m = cand.size();
-
-          // ---- Non-preemption delay (Property 3 / FP-FIFO) — constant
-          // in t.  Computed up front because it belongs inside the busy
-          // period below.
-          ctx.delta = delta_enabled_ ? non_preemption_delay(
-                                           geometry_, i, prefix, non_blockers_)
-                                     : 0;
-
-          // ---- B^slow: busy-period fixed point over everything that can
-          // occupy the servers ahead of m (Lemma 3; higher-priority
-          // traffic included).  The blocking delta is part of the fixed
-          // point, not a constant added after it: a blocked aggregate
-          // must drain the blocking work too, and at aggregate
-          // utilisation 1 a positive delta correctly makes B diverge
-          // (B = delta + B has no finite solution) instead of converging
-          // to a spurious small fixed point that undercuts the simulator.
-          ctx.busy.reserve(m);
-          Duration seed = ctx.delta;
-          for (std::size_t x = 0; x < m; ++x) {
-            seed = sat_add(seed, pg[x].c_slow_ji);  // incl. j == i
-            if (pg[x].intersects)
-              ctx.busy.push(flow_period_[cand[x]], pg[x].c_slow_ji);
-          }
-          ctx.seed = seed;
-          const FixedPointResult bp = iterate_fixed_point(
-              seed,
-              [&](Duration b) { return ctx.busy.apply(b, ctx.delta); },
-              cfg_.divergence_ceiling, std::size_t{1} << 20, nullptr);
-          ctx.bp_iterations = bp.iterations;
-          ctx.bp_converged = bp.converged();
-          // Divergent busy period: prefix_bound() returns before touching
-          // anything below, so nothing below is computed (matching the
-          // uncached control flow, asserts included).
-          if (!ctx.bp_converged) continue;
-          ctx.busy_period = bp.value;
 
           // ---- Per-position same-direction joiner min/max over the
           // aggregate.
@@ -353,15 +538,13 @@ void Engine::build_prefix_contexts() {
                                          fi.path().at(pos + 1));
 
           // ---- Constant part of W: the third, fourth and fifth terms.
-          const std::size_t slow_pos =
-              fi.truncated_to_prefix(prefix).slow_position();
           ctx.own_cost = pg[0].c_slow_ji;
           ctx.c_last = fi.cost_at_position(prefix - 1);
           Duration constant =
               -ctx.c_last + set_.network().path_lmax_sum(fi.path(), prefix - 1);
           for (std::size_t pos = 0; pos < prefix; ++pos)
             if (pos != slow_pos) constant += max_at[pos];
-          if (delta_enabled_) constant += ctx.delta;
+          if (delta_enabled_) constant += bs.delta;
           ctx.constant = constant;
 
           // ---- Static part of every interference term (Lemma 2), in
@@ -412,24 +595,25 @@ PrefixBound Engine::prefix_bound(FlowIndex i, std::size_t prefix,
   const PrefixContext& ctx = prefix_ctx_[iu][prefix - 1];
 
   // ---- B^slow (Lemma 3): the operator has no Smax input, so the fixed
-  // point was solved once at construction (build_prefix_contexts); the
-  // call replays the recorded iteration count into the work accounting —
-  // counters stay bit-identical to the uncached evaluation — and reads
-  // the cached solution.  The trace path re-runs the identical fixed
-  // point live (cold: telemetry extraction only).
-  if (stats != nullptr) stats->busy_period_iterations += ctx.bp_iterations;
+  // point was solved once at construction, shared by every prefix with
+  // the same node set and delta (build_prefix_contexts); the call replays
+  // the recorded iteration count into the work accounting — counters stay
+  // bit-identical to the uncached evaluation — and reads the cached
+  // solution.  The trace path re-runs the identical fixed point live
+  // (cold: telemetry extraction only).
+  const BusySolve& bs = busy_solves_[ctx.busy];
+  if (stats != nullptr) stats->busy_period_iterations += bs.iterations;
   if (bp_trace != nullptr) {
-    BusyBatch busy = ctx.busy;
+    BusyBatch busy = bs.busy;
     (void)iterate_fixed_point(
-        ctx.seed,
-        [&](Duration b) { return busy.apply(b, ctx.delta); },
+        bs.seed, [&](Duration b) { return busy.apply(b, bs.delta); },
         cfg_.divergence_ceiling, std::size_t{1} << 20, bp_trace);
   }
 
   PrefixBound out;
-  if (!ctx.bp_converged) return out;  // divergent: response stays infinite
-  out.busy_period = ctx.busy_period;
-  if (delta_enabled_) out.delta = ctx.delta;
+  if (!bs.converged) return out;  // divergent: response stays infinite
+  out.busy_period = bs.busy_period;
+  if (delta_enabled_) out.delta = bs.delta;
 
   const Duration constant = ctx.constant;
   const Duration c_last = ctx.c_last;
@@ -476,115 +660,12 @@ PrefixBound Engine::prefix_bound(FlowIndex i, std::size_t prefix,
   if (hp_terms.empty()) {
     // ---- Exact sweep over the candidate activation instants: t = -J_i
     // plus every point where some interference count steps.
-    //
-    // Count before enumerating: a busy period just under the divergence
-    // ceiling beside a small-period interferer projects billions of
-    // candidates.  Past the budget the flow is reported divergent, the
-    // same way the FP/FIFO branch treats over-long exhaustive sweeps
-    // (see Config::max_sweep_candidates).
-    const std::size_t tn = terms.size();
-    thread_local std::vector<std::int64_t> k_lo;
-    k_lo.assign(tn, 0);
-    std::size_t projected = 1;
-    for (std::size_t x = 0; x < tn; ++x) {
-      Time lo = 0;
-      Time hi = 0;
-      if (!checked_add_time(t_begin, terms.offset(x), &lo) ||
-          !checked_add_time(t_end, terms.offset(x), &hi))
-        return out;  // wrapped window edge: divergent, not a candidate set
-      k_lo[x] = ceil_div(lo, terms.period(x));
-      const std::int64_t k_hi = ceil_div(hi, terms.period(x));
-      if (k_hi > k_lo[x]) projected += static_cast<std::size_t>(k_hi - k_lo[x]);
-      if (projected > cfg_.max_sweep_candidates) return out;  // divergent
-    }
-
-    // Walk the sorted candidates once, bumping the workload sum at every
-    // count-step event, instead of re-evaluating all terms at every
-    // candidate.  That is exact only when no term can saturate anywhere
-    // in the sweep range; otherwise every candidate goes through the
-    // staged kernel, whose per-term saturation matches the scalar fold.
-    const bool incremental = terms.sweep_hazard_free(t_begin, t_end);
-
-    thread_local std::vector<Time> candidates;
-    candidates.clear();
-    candidates.reserve(projected);
-    candidates.push_back(t_begin);
-    thread_local std::vector<StepCursor> steps;
-    steps.clear();
-    if (incremental) steps.reserve(tn);
-    for (std::size_t x = 0; x < tn; ++x) {
-      // Steps occur at t = k * T - offset.  A step that wraps int64 is
-      // divergence, never a candidate: the projection above cannot see a
-      // wrapped product, and a wrapped t re-enters the sweep range and
-      // corrupts the candidate set (or never reaches t_end at all).
-      bool seeded = !incremental;
-      for (std::int64_t k = k_lo[x];; ++k) {
-        Time t = 0;
-        if (!checked_step_instant(k, terms.period(x), terms.offset(x), &t))
-          return out;  // wrapped step instant: divergent
-        if (t >= t_end) break;
-        if (t > t_begin) {
-          candidates.push_back(t);
-          // Steps with k >= 0 move the count 1 + k - 1 -> 1 + k; steps
-          // with k < 0 leave (1 + k)^+ clamped at zero.  The first such
-          // step seeds this term's merge cursor; the merge below
-          // regenerates the later ones by advancing it.
-          if (!seeded && k >= 0) {
-            steps.push_back({t, static_cast<std::uint32_t>(x), k});
-            seeded = true;
-          }
-        }
-      }
-    }
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                     candidates.end());
-    if (stats != nullptr) stats->test_points += candidates.size();
-
-    if (incremental) {
-      // k-way merge of the per-term step streams through a min-heap of
-      // one cursor per term.  The heap never holds more than tn entries
-      // (vs. one per event), and the wide sum is order-insensitive, so
-      // equal-instant pops in any order read out identically.
-      const auto later = [](const StepCursor& a, const StepCursor& b) {
-        return a.t > b.t;
-      };
-      std::make_heap(steps.begin(), steps.end(), later);
-      WideSum sum = terms.sweep_base(t_begin);
-      for (const Time t : candidates) {
-        while (!steps.empty() && steps.front().t <= t) {
-          std::pop_heap(steps.begin(), steps.end(), later);
-          const StepCursor cur = steps.back();
-          steps.pop_back();
-          sum += terms.cost(cur.term);
-          Time next_t = 0;
-          // The candidate loop above already walked this k range without
-          // a wrap, so re-stepping the cursor cannot fail.
-          const bool stepped = checked_step_instant(
-              cur.k + 1, terms.period(cur.term), terms.offset(cur.term),
-              &next_t);
-          TFA_ASSERT(stepped);
-          if (next_t < t_end) {
-            steps.push_back({next_t, cur.term, cur.k + 1});
-            std::push_heap(steps.begin(), steps.end(), later);
-          }
-        }
-        const Duration r = sat_add(clamp_wide(constant, sum), c_last - t);
-        if (r > best) {
-          best = r;
-          best_t = t;
-        }
-      }
-    } else {
-      for (const Time t : candidates) {
-        const Duration r =
-            sat_add(terms.workload(t, constant), c_last - t);
-        if (r > best) {
-          best = r;
-          best_t = t;
-        }
-      }
-    }
+    const CandidateSweep sweep = sweep_candidates(
+        terms, t_begin, t_end, constant, c_last, cfg_.max_sweep_candidates);
+    if (sweep.diverged) return out;
+    if (stats != nullptr) stats->test_points += sweep.test_points;
+    best = sweep.best;
+    best_t = sweep.best_t;
   } else {
     // ---- FP/FIFO: W(t) solves W = base(t) + sum_hp count(t + W + A) * C,
     // a monotone per-instant fixed point; the count windows move with W,

@@ -47,6 +47,32 @@ struct PrefixBound {
   [[nodiscard]] bool finite() const noexcept { return !is_infinite(response); }
 };
 
+/// Outcome of the exact candidate sweep (sweep_candidates()).
+struct CandidateSweep {
+  /// True when the sweep could not be carried out: a window edge or a
+  /// step instant wrapped int64, or the projected number of steps passed
+  /// the budget.  The bound is then divergent and nothing below is set.
+  bool diverged = false;
+  Duration best = -1;           ///< max of W(t) ⊕ (c_last - t).
+  Time best_t = 0;              ///< Earliest candidate attaining `best`.
+  std::size_t test_points = 0;  ///< Distinct candidate instants evaluated.
+};
+
+/// The exact sweep of Property 2/3 over [t_begin, t_end): the maximum of
+/// W(t) ⊕ (c_last - t), W(t) = constant ⊕ Σ_j terms_j(t), over t_begin
+/// and every instant in (t_begin, t_end) where some term's count steps,
+/// t = k * T_j - offset_j for any integer k (a step with k < 0 leaves the
+/// clamped count at zero but is still a candidate).  A k-way merge of
+/// the per-term step streams visits those instants in increasing order,
+/// each once, after absorbing every step there (docs/math.md, "One
+/// candidate walk").  `budget` caps the projected number of steps
+/// (Config::max_sweep_candidates).  `terms` is non-const only for the
+/// staged kernel's scratch lanes.
+[[nodiscard]] CandidateSweep sweep_candidates(TermBatch& terms, Time t_begin,
+                                              Time t_end, Duration constant,
+                                              Duration c_last,
+                                              std::size_t budget);
+
 /// Scheduling role of every flow relative to the aggregate under analysis
 /// (used by the FP/FIFO extension; plain Property-2/3 runs derive roles
 /// from Config::ef_mode).
@@ -81,8 +107,8 @@ struct EngineOptions {
   /// violation and aborts via the monotonicity assert.
   std::function<Duration(FlowIndex, std::size_t)> warm_seed;
   /// When non-null, the run additionally records spans
-  /// ("trajectory.engine" > "trajectory.fixed_point" /
-  /// "trajectory.extract"), phase-split work counters, per-pass Smax
+  /// ("trajectory.engine" > "trajectory.build" / "trajectory.fixed_point"
+  /// / "trajectory.extract"), phase-split work counters, per-pass Smax
   /// convergence series ("trajectory.smax.residual" / ".changed_rows" /
   /// ".bp_iterations") and the per-flow Lemma-3 busy-period iterate
   /// series ("trajectory.flow.<name>.busy_period"), and publishes the
@@ -190,21 +216,32 @@ class Engine {
     Duration m_cum_v = 0;         ///< M_i^{first_ij} cumulative term.
   };
 
-  /// Per-(flow, prefix) cache of everything in prefix_bound() that does
-  /// not depend on the evolving Smax table: the pair geometry
-  /// restriction, the Lemma-3 busy-period fixed point (its operator is
-  /// Smax-free, so the solution — and its iteration count, replayed into
-  /// the work counters — is a constant of the run), the per-position
-  /// joiner min/max folded into `constant`, and the static part of every
-  /// interference term.  Built once at construction; every Jacobi pass
-  /// and the extraction reread it instead of recomputing.
-  struct PrefixContext {
+  /// One distinct Lemma-3 busy-period operator of the run and its
+  /// solution.  The operator depends only on the prefix's node set N and
+  /// the blocking delay delta: its terms are every aggregate or
+  /// higher-priority flow j meeting N, with cost max_{h in P_j ∩ N} C_j^h,
+  /// and its seed is delta plus one packet of each (docs/math.md, "One
+  /// busy period per (node set, δ)").  Every prefix with the same key
+  /// shares one solve; the iteration count is replayed into the work
+  /// counters of each prefix_bound() call that reads it.
+  struct BusySolve {
     Duration delta = 0;           ///< Non-preemption delay (EF mode).
     Duration seed = 0;            ///< Busy-period seed (incl. delta).
     BusyBatch busy;               ///< Lemma-3 operator terms.
-    bool bp_converged = false;
+    bool converged = false;
     Duration busy_period = 0;     ///< B^slow (when converged).
-    std::size_t bp_iterations = 0;
+    std::size_t iterations = 0;
+  };
+
+  /// Per-(flow, prefix) cache of everything in prefix_bound() that does
+  /// not depend on the evolving Smax table: the shared Lemma-3 solve (its
+  /// operator is Smax-free, so the solution — and its iteration count —
+  /// is a constant of the run), the per-position joiner min/max folded
+  /// into `constant`, and the static part of every interference term.
+  /// Built once at construction; every Jacobi pass and the extraction
+  /// reread it instead of recomputing.
+  struct PrefixContext {
+    std::size_t busy = 0;         ///< Index into busy_solves_.
     Duration constant = 0;        ///< W's t-independent terms (incl. delta).
     Duration c_last = 0;          ///< C_i^{P_i[prefix-1]}.
     Duration own_cost = 0;        ///< C_i^{slow_i} (own-term cost).
@@ -230,6 +267,7 @@ class Engine {
   std::function<Duration(FlowIndex, std::size_t)> higher_smax_;
   std::vector<std::vector<Duration>> smax_;  ///< [flow][position].
   std::vector<std::vector<PrefixContext>> prefix_ctx_;  ///< [flow][prefix-1].
+  std::vector<BusySolve> busy_solves_;  ///< Distinct Lemma-3 operators.
   /// Last evaluated R_i per prefix, [flow][prefix-1] (prefix_response()).
   std::vector<std::vector<Duration>> prefix_response_;
   std::vector<PrefixBound> full_bounds_;     ///< [flow], analysable only.

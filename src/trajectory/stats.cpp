@@ -21,6 +21,7 @@ void publish_stats(const EngineStats& stats, obs::MetricRegistry& metrics) {
       static_cast<std::int64_t>(stats.cache_hits);
   metrics.counter("trajectory.cache_misses") +=
       static_cast<std::int64_t>(stats.cache_misses);
+  metrics.timer("trajectory.build_ns") += stats.build_ns;
   metrics.timer("trajectory.fixed_point_ns") += stats.fixed_point_ns;
   metrics.timer("trajectory.extract_ns") += stats.extract_ns;
   std::int64_t& workers = metrics.gauge("trajectory.workers");
@@ -44,6 +45,7 @@ EngineStats stats_view(const obs::MetricRegistry& metrics) {
       metrics.counter_value("trajectory.cache_hits"));
   s.cache_misses = static_cast<std::size_t>(
       metrics.counter_value("trajectory.cache_misses"));
+  s.build_ns = metrics.timer_value("trajectory.build_ns");
   s.fixed_point_ns = metrics.timer_value("trajectory.fixed_point_ns");
   s.extract_ns = metrics.timer_value("trajectory.extract_ns");
   const std::int64_t workers = metrics.gauge_value("trajectory.workers");

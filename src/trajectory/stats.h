@@ -1,5 +1,5 @@
 // Lightweight instrumentation of the trajectory analysis: where the time
-// goes (fixed point vs. bound extraction), how much work each phase did
+// goes (construction, fixed point, bound extraction), how much work each phase did
 // (passes, prefix bounds, test points), and how effective warm starts are
 // (cache hits/misses).  Counters are plain integers accumulated
 // deterministically — per-flow partials are merged in flow-index order, so
@@ -38,6 +38,10 @@ struct EngineStats {
   /// validity check (both 0 when the cache was empty, as in analyze()).
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
+  /// Wall time building the engine before the fixed point (geometry,
+  /// Smax seed, static prefix contexts and their Lemma-3 solves),
+  /// nanoseconds.
+  std::int64_t build_ns = 0;
   /// Wall time solving the global Smax fixed point, nanoseconds.
   std::int64_t fixed_point_ns = 0;
   /// Wall time extracting the final full-path bounds, nanoseconds.
@@ -63,6 +67,7 @@ struct EngineStats {
     warm_seeded_entries += other.warm_seeded_entries;
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
+    build_ns += other.build_ns;
     fixed_point_ns += other.fixed_point_ns;
     extract_ns += other.extract_ns;
     workers = workers > other.workers ? workers : other.workers;
@@ -83,6 +88,7 @@ struct EngineStats {
     d.warm_seeded_entries -= before.warm_seeded_entries;
     d.cache_hits -= before.cache_hits;
     d.cache_misses -= before.cache_misses;
+    d.build_ns -= before.build_ns;
     d.fixed_point_ns -= before.fixed_point_ns;
     d.extract_ns -= before.extract_ns;
     return d;

@@ -71,16 +71,20 @@ struct BusyTerm {
 /// the engine's current Smax table.  Must equal
 /// engine.prefix_bound(i, prefix) in response, busy_period, delta and
 /// critical_instant.  `cfg` is the engine's configuration (divergence
-/// ceiling and sweep budget).
+/// ceiling and sweep budget).  When `test_points` is non-null it receives
+/// the number of distinct candidate instants evaluated (0 when the bound
+/// diverges before or during the candidate enumeration) — the count the
+/// engine adds to EngineStats::test_points for the same call.
 [[nodiscard]] inline trajectory::PrefixBound reference_prefix_bound(
     const trajectory::Engine& engine, const trajectory::Config& cfg,
-    FlowIndex i, std::size_t prefix) {
+    FlowIndex i, std::size_t prefix, std::size_t* test_points = nullptr) {
   TFA_EXPECTS(engine.analysable(i));
   TFA_EXPECTS(!engine.has_higher_priority_flows());
   const model::FlowSetGeometry& geo = engine.geometry();
   const model::FlowSet& set = geo.flow_set();
   const model::SporadicFlow& fi = set.flow(i);
   TFA_EXPECTS(prefix >= 1 && prefix <= fi.path().size());
+  if (test_points != nullptr) *test_points = 0;
   const std::vector<bool>& mask = engine.aggregate_mask();
   const std::vector<bool>& non_blockers = engine.non_blockers();
   const std::size_t n = set.size();
@@ -176,6 +180,7 @@ struct BusyTerm {
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),
                    candidates.end());
+  if (test_points != nullptr) *test_points = candidates.size();
 
   // The earliest instant attaining the maximum of W(t) + C_last - t.
   Duration best = -1;

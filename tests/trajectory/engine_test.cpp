@@ -1,11 +1,22 @@
 // Unit tests of the trajectory engine: closed-form special cases, the
-// Lemma-3 busy-period fixed point, Smax-table consistency, and
-// monotonicity properties of the Property-2 bound.
+// Lemma-3 busy-period fixed point, Smax-table consistency, the exact
+// candidate sweep on hand-built term sets, and monotonicity properties of
+// the Property-2 bound.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "base/checked.h"
+#include "base/math.h"
 #include "model/paper_example.h"
+#include "obs/telemetry.h"
 #include "trajectory/analysis.h"
 #include "trajectory/engine.h"
+#include "trajectory/soa.h"
 
 namespace tfa::trajectory {
 namespace {
@@ -99,6 +110,186 @@ TEST(Engine, DivergesWhenANodeIsOverloaded) {
   const Engine eng(set, Config{});
   EXPECT_TRUE(is_infinite(eng.bound(0).response));
   EXPECT_TRUE(is_infinite(eng.bound(1).response));
+}
+
+TEST(Engine, PhasesNestUnderTheEngineSpanAndTimeTheBuild) {
+  obs::Telemetry tel;
+  EngineStats stats;
+  EngineOptions opts;
+  opts.stats = &stats;
+  opts.telemetry = &tel;
+  const Engine eng(model::paper_example(), Config{}, opts);
+  std::vector<std::pair<std::string, std::size_t>> shape;
+  for (const auto& e : tel.trace.events()) shape.emplace_back(e.name, e.depth);
+  const std::vector<std::pair<std::string, std::size_t>> want{
+      {"trajectory.engine", 0},
+      {"trajectory.build", 1},
+      {"trajectory.fixed_point", 1},
+      {"trajectory.extract", 1}};
+  EXPECT_EQ(shape, want);
+  EXPECT_GT(stats.build_ns, 0);
+  EXPECT_EQ(tel.metrics.timer_value("trajectory.build_ns"), stats.build_ns);
+}
+
+// ---- The exact candidate sweep on hand-built term sets ----
+
+struct Term {
+  Duration offset = 0;
+  Duration period = 1;
+  Duration cost = 0;
+};
+
+CandidateSweep sweep(const std::vector<Term>& terms, Time t_begin, Time t_end,
+                     Duration constant, Duration c_last,
+                     std::size_t budget = std::size_t{1} << 22) {
+  TermBatch batch;
+  for (const Term& x : terms) batch.push(x.offset, x.period, x.cost);
+  return sweep_candidates(batch, t_begin, t_end, constant, c_last, budget);
+}
+
+/// Brute force over every integer instant of a small range: the
+/// candidates are t_begin plus every t where some (t + offset) is a
+/// multiple of the period, and each is evaluated with the scalar
+/// saturating fold.
+CandidateSweep brute_force(const std::vector<Term>& terms, Time t_begin,
+                           Time t_end, Duration constant, Duration c_last) {
+  CandidateSweep out;
+  for (Time t = t_begin; t < t_end; ++t) {
+    bool candidate = t == t_begin;
+    for (const Term& x : terms) {
+      const Duration window = sat_add(t, x.offset);
+      candidate = candidate || floor_div(window, x.period) * x.period == window;
+    }
+    if (!candidate) continue;
+    ++out.test_points;
+    Duration w = constant;
+    for (const Term& x : terms)
+      w = sat_add(w, sat_sporadic_term(sat_add(t, x.offset), x.period, x.cost));
+    const Duration r = sat_add(w, c_last - t);
+    if (r > out.best) {
+      out.best = r;
+      out.best_t = t;
+    }
+  }
+  return out;
+}
+
+void expect_sweep(const CandidateSweep& got, const CandidateSweep& want) {
+  EXPECT_FALSE(got.diverged);
+  EXPECT_EQ(got.best, want.best);
+  EXPECT_EQ(got.best_t, want.best_t);
+  EXPECT_EQ(got.test_points, want.test_points);
+}
+
+TEST(CandidateSweep, StepExactlyAtTBeginIsCountedOnce) {
+  // Steps at 0 (= t_begin), 10, 20: r = 12, 24 - 10, 36 - 20.
+  const std::vector<Term> terms{{0, 10, 12}};
+  const CandidateSweep s = sweep(terms, 0, 25, 0, 0);
+  EXPECT_EQ(s.test_points, 3u);
+  EXPECT_EQ(s.best, 16);
+  EXPECT_EQ(s.best_t, 20);
+  expect_sweep(s, brute_force(terms, 0, 25, 0, 0));
+  // The engine's own-term shape: t_begin = -J, offset J.
+  const std::vector<Term> own{{5, 10, 12}};
+  expect_sweep(sweep(own, -5, 20, 0, 0), brute_force(own, -5, 20, 0, 0));
+  EXPECT_EQ(sweep(own, -5, 20, 0, 0).test_points, 3u);
+}
+
+TEST(CandidateSweep, StepsBelowZeroAreCandidatesWithoutCost) {
+  // Offset -25: steps at 5 (k = -2), 15 (k = -1) and 25 (k = 0).  Only
+  // the k = 0 step lifts the clamped count (0 -> 1, +50); the k < 0
+  // steps are candidates that add nothing.  r = 101, 96, 86, 126.
+  const std::vector<Term> terms{{0, 40, 1}, {-25, 10, 50}};
+  const CandidateSweep s = sweep(terms, 0, 30, 0, 100);
+  EXPECT_EQ(s.test_points, 4u);
+  EXPECT_EQ(s.best, 126);
+  EXPECT_EQ(s.best_t, 25);
+  expect_sweep(s, brute_force(terms, 0, 30, 0, 100));
+}
+
+TEST(CandidateSweep, CoincidentStepsOfTwoTermsAreOneCandidate) {
+  // The first two terms step together at 0, 10, 20; the third at 5, 15,
+  // 25: six distinct instants from eight steps.
+  const std::vector<Term> terms{{0, 10, 3}, {10, 10, 4}, {5, 10, 1}};
+  const CandidateSweep s = sweep(terms, 0, 30, -2, 2);
+  EXPECT_EQ(s.test_points, 6u);
+  expect_sweep(s, brute_force(terms, 0, 30, -2, 2));
+}
+
+TEST(CandidateSweep, HazardPathWalksTheSameCandidates) {
+  // A window past kInfiniteDuration from t = 10 on: the sweep must take
+  // the staged kernel, visit the same instants and saturate at the first
+  // candidate past the crossing (the own step at 12; W saturates between
+  // candidates, but only candidates are evaluated).
+  const std::vector<Term> terms{{0, 12, 5}, {kInfiniteDuration - 10,
+                                             Duration{1} << 60, 1}};
+  TermBatch batch;
+  for (const Term& x : terms) batch.push(x.offset, x.period, x.cost);
+  ASSERT_FALSE(batch.sweep_hazard_free(0, 21));
+  const CandidateSweep s = sweep(terms, 0, 21, -5, 5);
+  EXPECT_EQ(s.test_points, 2u);
+  EXPECT_EQ(s.best, kInfiniteDuration);
+  EXPECT_EQ(s.best_t, 12);
+  expect_sweep(s, brute_force(terms, 0, 21, -5, 5));
+}
+
+TEST(CandidateSweep, WrappedStepInstantDivergesWithNoTestPoints) {
+  constexpr Duration kHuge = Duration{1} << 62;
+  // The step at 3 (k = 1) is in range; the next one, 2 * 2^62 - offset,
+  // wraps int64 while the walk advances the cursor.
+  const CandidateSweep advancing =
+      sweep({{0, 10, 1}, {kHuge - 3, kHuge, 1}}, 0, 10, 0, 0);
+  EXPECT_TRUE(advancing.diverged);
+  EXPECT_EQ(advancing.test_points, 0u);
+  // The first step itself wraps: ceil(lo / 2^62) * 2^62 > INT64_MAX.
+  const CandidateSweep seeding = sweep(
+      {{std::numeric_limits<Duration>::max() - 5, kHuge, 1}}, 0, 3, 0, 0);
+  EXPECT_TRUE(seeding.diverged);
+  EXPECT_EQ(seeding.test_points, 0u);
+}
+
+TEST(CandidateSweep, BudgetCountsProjectedSteps) {
+  // Period 1 over [0, 100): 100 steps (the one at t_begin included), so
+  // the projection is 1 + 100 and the walk visits 100 instants.
+  const std::vector<Term> terms{{0, 1, 1}};
+  EXPECT_TRUE(sweep(terms, 0, 100, 0, 0, 100).diverged);
+  expect_sweep(sweep(terms, 0, 100, 0, 0, 101),
+               brute_force(terms, 0, 100, 0, 0));
+}
+
+TEST(Engine, WrappedStepInstantIsDivergentWithNoTestPoints) {
+  // On one node A_{a,b} = J_a + J_b = 2^62 - 1: b's step k = 1 lands at
+  // t = 1 inside a's busy period [0, 2), and k = 2 wraps.
+  constexpr Duration kHuge = Duration{1} << 62;
+  FlowSet set(Network(1, 1, 1));
+  set.add(SporadicFlow("a", Path{0}, 10, 1, 0, 100));
+  set.add(SporadicFlow("b", Path{0}, kHuge, 1, kHuge - 1, 100));
+  const Engine eng(set, Config{});
+  EngineStats stats;
+  const PrefixBound a = eng.prefix_bound(0, 1, &stats);
+  EXPECT_EQ(a.busy_period, 2);
+  EXPECT_TRUE(is_infinite(a.response));
+  EXPECT_EQ(stats.prefix_bounds, 1u);
+  EXPECT_EQ(stats.test_points, 0u);
+  EXPECT_TRUE(is_infinite(eng.bound(0).response));
+}
+
+TEST(Engine, SweepBudgetExceededIsDivergentWithNoTestPoints) {
+  // A lone flow's sweep projects 2 steps: the candidate t_begin plus its
+  // own step there.
+  FlowSet set(Network(1, 1, 1));
+  set.add(SporadicFlow("f", Path{0}, 36, 4, 0, 100));
+  Config cfg;
+  cfg.max_sweep_candidates = 2;
+  EngineStats fits;
+  EXPECT_EQ(Engine(set, cfg).prefix_bound(0, 1, &fits).response, 4);
+  EXPECT_EQ(fits.test_points, 1u);
+  cfg.max_sweep_candidates = 1;
+  const Engine over(set, cfg);
+  EngineStats stats;
+  EXPECT_TRUE(is_infinite(over.prefix_bound(0, 1, &stats).response));
+  EXPECT_EQ(stats.test_points, 0u);
+  EXPECT_TRUE(is_infinite(over.bound(0).response));
 }
 
 // ---- Monotonicity properties of the public bound ----

@@ -70,6 +70,8 @@ TEST(StatsSemantics, SharedRegistryAccumulatesWhileResultStatsStayPerCall) {
   EXPECT_EQ(total.fixed_point_ns,
             r1.stats.fixed_point_ns + r2.stats.fixed_point_ns);
   EXPECT_EQ(total.extract_ns, r1.stats.extract_ns + r2.stats.extract_ns);
+  EXPECT_EQ(total.build_ns, r1.stats.build_ns + r2.stats.build_ns);
+  EXPECT_GT(r1.stats.build_ns, 0);
 
   // Both calls did real work, so the second call's share is a strict part
   // of the accumulated total — not the total itself (the old bug).
@@ -238,12 +240,14 @@ TEST(StatsSemantics, MergeAddsAndDeltaSinceInverts) {
   EngineStats a;
   a.smax_passes = 3;
   a.test_points = 10;
+  a.build_ns = 70;
   a.fixed_point_ns = 100;
   a.extract_ns = 40;
   a.workers = 2;
   EngineStats b;
   b.smax_passes = 2;
   b.test_points = 5;
+  b.build_ns = 30;
   b.fixed_point_ns = 60;
   b.extract_ns = 10;
   b.workers = 4;
@@ -254,6 +258,7 @@ TEST(StatsSemantics, MergeAddsAndDeltaSinceInverts) {
   EXPECT_EQ(sum.test_points, 15u);
   EXPECT_EQ(sum.fixed_point_ns, 160);  // times ADD: disjoint work only
   EXPECT_EQ(sum.extract_ns, 50);
+  EXPECT_EQ(sum.build_ns, 100);
   EXPECT_EQ(sum.workers, 4u);  // workers take the max
 
   const EngineStats back = sum.delta_since(a);
@@ -261,6 +266,7 @@ TEST(StatsSemantics, MergeAddsAndDeltaSinceInverts) {
   EXPECT_EQ(back.test_points, b.test_points);
   EXPECT_EQ(back.fixed_point_ns, b.fixed_point_ns);
   EXPECT_EQ(back.extract_ns, b.extract_ns);
+  EXPECT_EQ(back.build_ns, b.build_ns);
   EXPECT_EQ(back.workers, sum.workers);  // delta keeps the current setting
 }
 
@@ -275,6 +281,7 @@ TEST(StatsSemantics, PublishAndViewRoundTrip) {
   s.cache_misses = 1;
   s.fixed_point_ns = 12345;
   s.extract_ns = 678;
+  s.build_ns = 91;
   s.workers = 8;
 
   obs::MetricRegistry reg;
@@ -289,6 +296,7 @@ TEST(StatsSemantics, PublishAndViewRoundTrip) {
   EXPECT_EQ(v.cache_misses, s.cache_misses);
   EXPECT_EQ(v.fixed_point_ns, s.fixed_point_ns);
   EXPECT_EQ(v.extract_ns, s.extract_ns);
+  EXPECT_EQ(v.build_ns, s.build_ns);
   EXPECT_EQ(v.workers, s.workers);
 }
 
