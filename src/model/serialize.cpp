@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <sstream>
+#include <unordered_set>
 #include <vector>
 
 namespace tfa::model {
@@ -49,6 +50,9 @@ ParseResult fail(int line, std::string message) {
 
 ParseResult parse_flow_set(std::string_view text) {
   std::optional<FlowSet> set;
+  // Names seen so far: FlowSet::find is a linear scan, so checking each
+  // flow against the set would make parsing quadratic in the flow count.
+  std::unordered_set<std::string> names;
   int line_no = 0;
 
   std::size_t cursor = 0;
@@ -194,7 +198,7 @@ ParseResult parse_flow_set(std::string_view text) {
                                    " outside the network (" +
                                    std::to_string(set->network().node_count()) +
                                    " nodes)");
-      if (set->find(name))
+      if (!names.insert(name).second)
         return fail(line_no, "duplicate flow name '" + name + "'");
 
       SporadicFlow flow(name, Path(std::move(nodes)), period, std::move(costs),

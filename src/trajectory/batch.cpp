@@ -194,15 +194,20 @@ Result run_analysis(const model::FlowSet& set, AnalysisCache& cache,
   // only adds interference) and remains a pre-fixed point — the
   // monotonicity argument in docs/math.md.  A removal or modification
   // breaks the subset relation, so the whole cache is discarded.
+  // One hash lookup per new flow: the names of a validated set are
+  // unique, so the rows are a subset exactly when every row found matches
+  // its flow's fingerprint and every row is found.
   bool warm = !cache.rows_.empty() && cache.context_ == context;
   if (warm) {
-    for (const auto& [name, row] : cache.rows_) {
-      const auto idx = fs.find(name);
-      if (!idx || flow_fingerprint(fs.flow(*idx)) != row.fingerprint) {
-        warm = false;
-        break;
-      }
+    std::size_t matched = 0;
+    for (std::size_t i = 0; i < n && warm; ++i) {
+      const model::SporadicFlow& f = fs.flow(static_cast<FlowIndex>(i));
+      const auto it = cache.rows_.find(f.name());
+      if (it == cache.rows_.end()) continue;
+      warm = flow_fingerprint(f) == it->second.fingerprint;
+      ++matched;
     }
+    warm = warm && matched == cache.rows_.size();
   }
 
   // Seed rows resolved up front so the engine's hook is just a lookup.

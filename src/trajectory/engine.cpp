@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <span>
 #include <tuple>
 #include <utility>
@@ -80,6 +81,110 @@ void sift_down(std::vector<StepCursor>& heap, std::size_t h) {
   heap[h] = moving;
 }
 
+/// Orders `heap` as a min-heap of step instants.
+void heapify(std::vector<StepCursor>& heap) {
+  for (std::size_t h = heap.size() / 2; h-- > 0;) sift_down(heap, h);
+}
+
+/// Moves the top cursor to its step `k` (instant `t`), or drops it when
+/// that step is at or past `t_end`, and restores the heap order.
+void reseat_top(std::vector<StepCursor>& heap, std::int64_t k, Time t,
+                Time t_end) {
+  StepCursor& cur = heap.front();
+  if (t < t_end) {
+    cur.t = t;
+    cur.k = k;
+  } else {
+    cur = heap.back();
+    heap.pop_back();
+  }
+  sift_down(heap, 0);
+}
+
+/// The k-way merge over the step instants in [heap top, hi): absorbs every
+/// step at an instant into `sum` (k >= 0 moves the count 1 + k - 1 ->
+/// 1 + k; k < 0 leaves (1 + k)^+ clamped at zero), then calls visit(t)
+/// once for that instant.  Cursors past `hi` stay in the heap for a later
+/// walk; cursors past `t_end` leave it.  Returns false when a step
+/// instant wraps int64 (divergence).
+template <typename Visit>
+[[nodiscard]] bool walk_steps(std::vector<StepCursor>& heap,
+                              const TermBatch& terms, Time hi, Time t_end,
+                              WideSum& sum, Visit&& visit) {
+  while (!heap.empty() && heap.front().t < hi) {
+    const Time t = heap.front().t;
+    do {
+      const StepCursor& cur = heap.front();
+      if (cur.k >= 0) sum += terms.cost(cur.term);
+      Time next_t = 0;
+      if (!checked_step_instant(cur.k + 1, terms.period(cur.term),
+                                terms.offset(cur.term), &next_t))
+        return false;  // wrapped step instant
+      reseat_top(heap, cur.k + 1, next_t, t_end);
+    } while (!heap.empty() && heap.front().t == t);
+    visit(t);
+  }
+  return true;
+}
+
+/// Moves every cursor of `heap` short of `lo` to its first step at or
+/// after `lo` (dropping it when that is at or past `t_end`): one division
+/// per cursor instead of one sift per skipped step.  Every such step was
+/// already checked for wrap by add_bucket_rises().
+void jump_to(std::vector<StepCursor>& heap, const TermBatch& terms, Time lo,
+             Time t_end) {
+  while (!heap.empty() && heap.front().t < lo) {
+    const std::uint32_t x = heap.front().term;
+    // lo is inside the range, whose window edges did not wrap.
+    const std::int64_t k = ceil_div(lo + terms.offset(x), terms.period(x));
+    Time t = 0;
+    const bool ok =
+        checked_step_instant(k, terms.period(x), terms.offset(x), &t);
+    TFA_ASSERT(ok);
+    reseat_top(heap, k, t, t_end);
+  }
+}
+
+/// The bucketing pass of the pruned sweep: adds the cost of every step
+/// (k >= 0) of every seeded cursor in [first, t_end) to its bucket,
+/// rise[(t - first) / width].  Makes the full walk's wrap check on every
+/// step and on the first one past t_end; returns false on a wrap.
+[[nodiscard]] bool add_bucket_rises(const std::vector<StepCursor>& seeds,
+                                    const TermBatch& terms, Time first,
+                                    std::uint64_t width, Time t_end,
+                                    std::vector<WideSum>& rise) {
+  for (const StepCursor& seed : seeds) {
+    const Duration period = terms.period(seed.term);
+    const Duration offset = terms.offset(seed.term);
+    const Duration cost = terms.cost(seed.term);
+    // Bucket b and position r within it, t - first = b * width + r: each
+    // step moves them by period / width and period % width, so only the
+    // first step divides.
+    const auto per = static_cast<std::uint64_t>(period);
+    const std::uint64_t b_step = per / width;
+    const std::uint64_t r_step = per % width;
+    const std::uint64_t rel =
+        static_cast<std::uint64_t>(seed.t) - static_cast<std::uint64_t>(first);
+    std::uint64_t b = rel / width;
+    std::uint64_t r = rel % width;
+    for (StepCursor cur = seed;;) {
+      if (cur.k >= 0) rise[b] += cost;
+      if (!checked_step_instant(cur.k + 1, period, offset, &cur.t))
+        return false;  // wrapped step instant
+      if (cur.t >= t_end) break;
+      ++cur.k;
+      b += b_step;
+      if (r >= width - r_step) {
+        r -= width - r_step;
+        ++b;
+      } else {
+        r += r_step;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 CandidateSweep sweep_candidates(TermBatch& terms, Time t_begin, Time t_end,
@@ -124,19 +229,14 @@ CandidateSweep sweep_candidates(TermBatch& terms, Time t_begin, Time t_end,
     if (cur.t < t_end) steps.push_back(cur);
   }
 
-  // One walk over the distinct candidate instants in increasing order:
-  // a k-way merge of the per-term step streams through a min-heap of
-  // one cursor per term, evaluating W once per instant after absorbing
-  // every step there.  When no term can saturate anywhere in the sweep
-  // range the walk bumps an exact wide sum at each step (k >= 0 moves
-  // the count 1 + k - 1 -> 1 + k; k < 0 leaves (1 + k)^+ clamped at
-  // zero); otherwise every instant goes through the staged kernel,
-  // whose per-term saturation matches the scalar fold.
+  // When no term can saturate anywhere in the sweep range, W(t) is the
+  // clamped read-out of an exact wide sum bumped at each step; otherwise
+  // every instant goes through the staged kernel, whose per-term
+  // saturation matches the scalar fold.
   const bool incremental = terms.sweep_hazard_free(t_begin, t_end);
   WideSum sum = incremental ? terms.sweep_base(t_begin) : 0;
-  for (std::size_t h = steps.size() / 2; h-- > 0;) sift_down(steps, h);
   CandidateSweep sweep;
-  for (Time t = t_begin;;) {
+  const auto visit = [&](Time t) {
     const Duration w = incremental ? clamp_wide(constant, sum)
                                    : terms.workload(t, constant);
     const Duration r = sat_add(w, c_last - t);
@@ -145,24 +245,67 @@ CandidateSweep sweep_candidates(TermBatch& terms, Time t_begin, Time t_end,
       sweep.best = r;
       sweep.best_t = t;
     }
-    if (steps.empty()) break;
-    t = steps.front().t;
-    do {
-      StepCursor& cur = steps.front();
-      if (incremental && cur.k >= 0) sum += terms.cost(cur.term);
-      Time next_t = 0;
-      if (!checked_step_instant(cur.k + 1, terms.period(cur.term),
-                                terms.offset(cur.term), &next_t))
-        return kDiverged;  // wrapped step instant
-      if (next_t < t_end) {
-        cur.t = next_t;
-        ++cur.k;
-      } else {
-        cur = steps.back();
-        steps.pop_back();
-      }
-      sift_down(steps, 0);
-    } while (!steps.empty() && steps.front().t == t);
+  };
+  visit(t_begin);
+
+  // Branch and bound (docs/math.md, "Pruned candidate walk").  W is
+  // non-decreasing, so over a bucket [lo, hi) of the range every
+  // candidate has r(t) <= W(hi-) + c_last - lo, and a bucket whose bound
+  // does not beat the best so far cannot move the maximum or its earliest
+  // instant.  The bound is monotone only while W(t) + c_last - t cannot
+  // leave int64 below (sat_add reads that wrap as saturation); W >=
+  // constant, so one check over the whole range decides it.  The hazard
+  // path (no exact sum to bound with) and that corner walk every instant.
+  constexpr WideSum kIntMin = std::numeric_limits<Duration>::min();
+  if (steps.empty()) return sweep;
+  if (!incremental || static_cast<WideSum>(constant) + c_last -
+                              (static_cast<WideSum>(t_end) - 1) <
+                          kIntMin) {
+    heapify(steps);
+    if (!walk_steps(steps, terms, t_end, t_end, sum, visit)) return kDiverged;
+    return sweep;
+  }
+
+  // One bucket per term stepping in the range, of equal width over
+  // [first step, t_end).  The bucketing pass checks every step for wrap
+  // as the full walk did, so a wrapped instant is divergence even inside
+  // a bucket never walked.
+  Time first = steps.front().t;
+  for (const StepCursor& cur : steps) first = std::min(first, cur.t);
+  const std::size_t nb = steps.size();
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(t_end) - static_cast<std::uint64_t>(first);
+  const std::uint64_t width = span / nb + (span % nb != 0 ? 1 : 0);
+  thread_local std::vector<WideSum> rise;  // Σ step costs per bucket
+  rise.assign(nb, 0);
+  if (!add_bucket_rises(steps, terms, first, width, t_end, rise))
+    return kDiverged;
+
+  // Scan the buckets in order with W's running wide sum.  The heap is
+  // built at the first walk and otherwise trails behind the scan.
+  bool heaped = false;
+  for (std::size_t b = 0; b < nb; ++b) {
+    if (rise[b] == 0) continue;  // W flat: r falls with t, never wins
+    const WideSum top = sum + rise[b];
+    const auto lo = static_cast<Time>(static_cast<std::uint64_t>(first) +
+                                      b * width);
+    const Duration w_hi = clamp_wide(constant, top);
+    if (w_hi < kInfiniteDuration &&
+        static_cast<WideSum>(w_hi) + c_last - lo <=
+            static_cast<WideSum>(sweep.best)) {
+      sum = top;
+      continue;
+    }
+    if (!heaped) heapify(steps);
+    heaped = true;
+    jump_to(steps, terms, lo, t_end);
+    const Time hi =
+        static_cast<std::uint64_t>(t_end) - static_cast<std::uint64_t>(lo) <=
+                width
+            ? t_end
+            : static_cast<Time>(static_cast<std::uint64_t>(lo) + width);
+    const bool walked = walk_steps(steps, terms, hi, t_end, sum, visit);
+    TFA_ASSERT(walked && sum == top);
   }
   return sweep;
 }

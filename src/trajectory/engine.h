@@ -55,17 +55,21 @@ struct CandidateSweep {
   bool diverged = false;
   Duration best = -1;           ///< max of W(t) ⊕ (c_last - t).
   Time best_t = 0;              ///< Earliest candidate attaining `best`.
-  std::size_t test_points = 0;  ///< Distinct candidate instants evaluated.
+  /// Candidate instants evaluated, each once: t_begin plus those of the
+  /// walked buckets (all of them on the hazard path).
+  std::size_t test_points = 0;
 };
 
 /// The exact sweep of Property 2/3 over [t_begin, t_end): the maximum of
 /// W(t) ⊕ (c_last - t), W(t) = constant ⊕ Σ_j terms_j(t), over t_begin
 /// and every instant in (t_begin, t_end) where some term's count steps,
 /// t = k * T_j - offset_j for any integer k (a step with k < 0 leaves the
-/// clamped count at zero but is still a candidate).  A k-way merge of
-/// the per-term step streams visits those instants in increasing order,
-/// each once, after absorbing every step there (docs/math.md, "One
-/// candidate walk").  `budget` caps the projected number of steps
+/// clamped count at zero but is still a candidate), with the earliest
+/// instant attaining it.  A branch and bound over equal-width buckets of
+/// the range evaluates only the buckets whose bound W(hi-) + c_last - lo
+/// beats the best so far, by a k-way merge of the per-term step streams
+/// (docs/math.md, "Pruned candidate walk"); the result equals the full
+/// walk's.  `budget` caps the projected number of steps
 /// (Config::max_sweep_candidates).  `terms` is non-const only for the
 /// staged kernel's scratch lanes.
 [[nodiscard]] CandidateSweep sweep_candidates(TermBatch& terms, Time t_begin,

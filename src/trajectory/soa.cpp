@@ -14,8 +14,6 @@
 
 #include "trajectory/soa.h"
 
-#include <limits>
-
 #include "base/checked.h"
 #include "base/contracts.h"
 
@@ -129,21 +127,19 @@ Duration TermBatch::workload(Time t, Duration w0) {
 }
 
 bool TermBatch::sweep_hazard_free(Time t_begin, Time t_end) const {
-  using Wide = WideSum;
   const std::size_t n = size();
-  const Wide lo0 = static_cast<Wide>(t_begin);
-  const Wide hi0 = static_cast<Wide>(t_end) - 1;
-  constexpr Wide kIntMin = std::numeric_limits<Duration>::min();
   for (std::size_t j = 0; j < n; ++j) {
-    const Wide lo = lo0 + offset_[j];
-    const Wide hi = hi0 + offset_[j];
-    // Window must stay representable and finite over the whole range.
-    if (lo < kIntMin || hi >= static_cast<Wide>(kInfiniteDuration))
+    // The windows over the range are [lo, end - 1]: both edges must stay
+    // representable and the top one finite.
+    Time lo = 0;
+    Time end = 0;
+    if (!checked_add_time(t_begin, offset_[j], &lo) ||
+        !checked_add_time(t_end, offset_[j], &end) ||
+        end > kInfiniteDuration)
       return false;
-    // Largest count over the range (counts are monotone in t).
-    Wide q = hi / period_[j];
-    if (hi % period_[j] != 0 && hi < 0) --q;
-    if (q + 1 >= static_cast<Wide>(thr_[j])) return false;
+    // Largest count over the range (counts are monotone in t):
+    // 1 + floor((end - 1) / T) = ceil(end / T), in int64 for every end.
+    if (raw_ceil_div(end, period_[j]) >= thr_[j]) return false;
   }
   return true;
 }

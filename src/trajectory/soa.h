@@ -62,9 +62,10 @@ class TermBatch {
 
   /// True when the incremental sweep is exact over every t in
   /// [t_begin, t_end): no window, count, or product can saturate or
-  /// leave int64 anywhere in the range (checked in 128-bit).  When it
-  /// returns false the sweep must evaluate candidates via workload(),
-  /// whose per-term saturation handling is always exact.
+  /// leave int64 anywhere in the range (window edges by overflow-checked
+  /// adds, then the largest count in int64).  When it returns false the
+  /// sweep must evaluate every candidate via workload(), whose per-term
+  /// saturation handling is always exact.
   [[nodiscard]] bool sweep_hazard_free(Time t_begin, Time t_end) const;
 
   /// Σ_j count_j(t_begin) * c_j as an exact wide sum — the incremental

@@ -26,7 +26,9 @@ struct EngineStats {
   /// Prefix-bound evaluations (the unit of per-flow work: one W_i sweep
   /// over one path prefix).
   std::size_t prefix_bounds = 0;
-  /// Candidate activation instants t at which W_i(t) was evaluated.
+  /// Candidate activation instants t at which W_i(t) was evaluated: the
+  /// pruned sweep skips candidates that cannot beat the best so far, so
+  /// this is at most the number of distinct candidates.
   std::size_t test_points = 0;
   /// Iterations of the Lemma-3 busy-period fixed points (B_i^slow),
   /// including the per-instant FP/FIFO fixed points.

@@ -73,11 +73,15 @@ struct BusyTerm {
 /// critical_instant.  `cfg` is the engine's configuration (divergence
 /// ceiling and sweep budget).  When `test_points` is non-null it receives
 /// the number of distinct candidate instants evaluated (0 when the bound
-/// diverges before or during the candidate enumeration) — the count the
-/// engine adds to EngineStats::test_points for the same call.
+/// diverges before or during the candidate enumeration) — the most the
+/// engine's pruned sweep adds to EngineStats::test_points for the same
+/// call.  When `hazard` is non-null it receives whether some term can
+/// saturate or leave int64 over the sweep range: the engine then walks
+/// every candidate, so it adds exactly `*test_points`.
 [[nodiscard]] inline trajectory::PrefixBound reference_prefix_bound(
     const trajectory::Engine& engine, const trajectory::Config& cfg,
-    FlowIndex i, std::size_t prefix, std::size_t* test_points = nullptr) {
+    FlowIndex i, std::size_t prefix, std::size_t* test_points = nullptr,
+    bool* hazard = nullptr) {
   TFA_EXPECTS(engine.analysable(i));
   TFA_EXPECTS(!engine.has_higher_priority_flows());
   const model::FlowSetGeometry& geo = engine.geometry();
@@ -85,6 +89,7 @@ struct BusyTerm {
   const model::SporadicFlow& fi = set.flow(i);
   TFA_EXPECTS(prefix >= 1 && prefix <= fi.path().size());
   if (test_points != nullptr) *test_points = 0;
+  if (hazard != nullptr) *hazard = false;
   const std::vector<bool>& mask = engine.aggregate_mask();
   const std::vector<bool>& non_blockers = engine.non_blockers();
   const std::size_t n = set.size();
@@ -175,6 +180,16 @@ struct BusyTerm {
       if (!checked_step_instant(k, x.period, x.offset, &t)) return out;
       if (t >= t_end) break;
       if (t > t_begin) candidates.push_back(t);
+    }
+  }
+  if (hazard != nullptr) {
+    // Over [t_begin, t_end) a term's window runs up to t_end - 1 + offset
+    // and its count is largest there.
+    for (const SporadicTerm& x : terms) {
+      Time top = 0;
+      if (!checked_add_time(t_end - 1, x.offset, &top) ||
+          is_infinite(sat_sporadic_term(top, x.period, x.cost)))
+        *hazard = true;
     }
   }
   std::sort(candidates.begin(), candidates.end());

@@ -15,9 +15,11 @@
 // candidates.
 //
 // The remaining cases pin what the sweep gate alone does not: every
-// prefix_bound() call adds exactly the reference's distinct-candidate
-// count to EngineStats::test_points; the hazard path (a term that
-// saturates inside the sweep range) matches the reference end to end;
+// prefix_bound() call adds between one and the reference's
+// distinct-candidate count to EngineStats::test_points (exactly that count
+// on the hazard path, which is not pruned), and fewer in total, so the
+// pruning engages; the hazard path (a term that saturates inside the
+// sweep range) matches the reference end to end;
 // and prefixes that share a Lemma-3 node set but not a blocking delay
 // keep distinct busy periods, identically for every worker count.
 #include <gtest/gtest.h>
@@ -65,10 +67,12 @@ std::string mismatch(const PrefixBound& got, const PrefixBound& want) {
 
 /// Compares every (flow, prefix) bound of an engine over `set` (already
 /// normalised) with the reference.  Returns the first mismatch, empty when
-/// all agree; counts the prefixes compared and the finite ones.
+/// all agree; counts the prefixes compared and the finite ones, and adds
+/// the reference's candidate counts to `*candidates` when non-null.
 std::string compare_all(const FlowSet& set, const Config& cfg,
                         std::size_t* prefixes, std::size_t* finite,
-                        trajectory::EngineStats* stats = nullptr) {
+                        trajectory::EngineStats* stats = nullptr,
+                        std::size_t* candidates = nullptr) {
   const Engine engine(set, cfg);
   for (std::size_t iu = 0; iu < set.size(); ++iu) {
     const auto i = static_cast<FlowIndex>(iu);
@@ -76,7 +80,10 @@ std::string compare_all(const FlowSet& set, const Config& cfg,
     const std::size_t len = set.flow(i).path().size();
     for (std::size_t prefix = 1; prefix <= len; ++prefix) {
       const PrefixBound got = engine.prefix_bound(i, prefix, stats);
-      const PrefixBound want = reference_prefix_bound(engine, cfg, i, prefix);
+      std::size_t count = 0;
+      const PrefixBound want =
+          reference_prefix_bound(engine, cfg, i, prefix, &count);
+      if (candidates != nullptr) *candidates += count;
       ++*prefixes;
       if (want.finite()) ++*finite;
       const std::string why = mismatch(got, want);
@@ -154,22 +161,26 @@ TEST(SoaSweep, ClusterWorkloadMatchesScalarReference) {
     std::size_t prefixes = 0;
     std::size_t finite = 0;
     trajectory::EngineStats stats;
-    const std::string why = compare_all(set, cfg, &prefixes, &finite, &stats);
+    std::size_t candidates = 0;
+    const std::string why =
+        compare_all(set, cfg, &prefixes, &finite, &stats, &candidates);
     ASSERT_EQ(why, "") << "workers " << workers;
     EXPECT_EQ(prefixes, 6u * 100u * 2u);
     EXPECT_EQ(finite, prefixes);
     // The shape this case exists for: about a hundred candidate instants
-    // per prefix sweep, so the incremental path's merge does real work.
-    EXPECT_GE(stats.test_points, 100 * stats.prefix_bounds);
+    // per prefix sweep, so the incremental path's bucketing does real work.
+    EXPECT_GE(candidates, 100 * stats.prefix_bounds);
   }
 }
 
 /// Every (flow, prefix) of an engine over `set`: the stats sink of one
-/// prefix_bound() call must gain exactly one prefix bound and the
-/// reference's distinct-candidate count of test points.  Returns the
-/// first mismatch, empty when all agree; adds the counts seen.
+/// prefix_bound() call must gain exactly one prefix bound and between one
+/// and the reference's distinct-candidate count of test points — none
+/// when the reference diverges, all of them on the hazard path.  Returns
+/// the first mismatch, empty when all agree; adds the reference's counts
+/// to `*points` and the engine's to `*evaluated`.
 std::string compare_test_points(const FlowSet& set, const Config& cfg,
-                                std::size_t* points) {
+                                std::size_t* points, std::size_t* evaluated) {
   const Engine engine(set, cfg);
   for (std::size_t iu = 0; iu < set.size(); ++iu) {
     const auto i = static_cast<FlowIndex>(iu);
@@ -179,13 +190,18 @@ std::string compare_test_points(const FlowSet& set, const Config& cfg,
       trajectory::EngineStats stats;
       (void)engine.prefix_bound(i, prefix, &stats);
       std::size_t want = 0;
-      (void)reference_prefix_bound(engine, cfg, i, prefix, &want);
+      bool hazard = false;
+      (void)reference_prefix_bound(engine, cfg, i, prefix, &want, &hazard);
       *points += want;
-      if (stats.prefix_bounds != 1 || stats.test_points != want)
+      *evaluated += stats.test_points;
+      const std::size_t got = stats.test_points;
+      const bool ok = want == 0 || hazard ? got == want
+                                          : got >= 1 && got <= want;
+      if (stats.prefix_bounds != 1 || !ok)
         return "flow '" + set.flow(i).name() + "' prefix " +
                std::to_string(prefix) + ": engine counted " +
-               std::to_string(stats.test_points) + " test points, reference " +
-               std::to_string(want);
+               std::to_string(got) + " test points, reference " +
+               std::to_string(want) + (hazard ? " (hazard path)" : "");
     }
   }
   return {};
@@ -195,6 +211,7 @@ TEST(SoaSweep, TestPointsEqualTheReferenceCandidateCount) {
   constexpr std::uint64_t kSweepSeed = 0x50A0;
   constexpr std::size_t kCases = 1000;
   std::size_t points = 0;
+  std::size_t evaluated = 0;
   for (std::size_t index = 0; index < kCases; ++index) {
     const FuzzCase fc = generate_case(kSweepSeed, index);
     for (const bool ef_mode : {false, true}) {
@@ -202,18 +219,22 @@ TEST(SoaSweep, TestPointsEqualTheReferenceCandidateCount) {
       cfg.ef_mode = ef_mode;
       const model::NormalisationReport norm =
           model::normalise(fc.set, cfg.split_jitter);
-      const std::string why = compare_test_points(norm.flow_set, cfg, &points);
+      const std::string why =
+          compare_test_points(norm.flow_set, cfg, &points, &evaluated);
       ASSERT_EQ(why, "") << "case " << index << " (ef_mode " << ef_mode
                          << "): " << why << "\n"
                          << model::serialize_flow_set(fc.set);
     }
   }
   EXPECT_GT(points, 0u);
+  // The pruning engages: some bucket somewhere was skipped.
+  EXPECT_LT(evaluated, points);
 
   // The cluster shape, where a prefix sweep merges about a hundred steps.
   std::size_t cluster_points = 0;
-  const std::string why =
-      compare_test_points(cluster_set(6, 100), Config{}, &cluster_points);
+  std::size_t cluster_evaluated = 0;
+  const std::string why = compare_test_points(
+      cluster_set(6, 100), Config{}, &cluster_points, &cluster_evaluated);
   ASSERT_EQ(why, "");
   EXPECT_GE(cluster_points, 100u * 6u * 100u * 2u);
 }
@@ -285,7 +306,8 @@ TEST(SoaSweep, HazardPathMatchesScalarReference) {
       ASSERT_EQ(compare_all(hc.set, cfg, &prefixes, &finite), "")
           << "workers " << workers;
       std::size_t points = 0;
-      ASSERT_EQ(compare_test_points(hc.set, cfg, &points), "")
+      std::size_t evaluated = 0;
+      ASSERT_EQ(compare_test_points(hc.set, cfg, &points, &evaluated), "")
           << "workers " << workers;
 
       EXPECT_GT(points, 0u);

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -174,11 +175,20 @@ CandidateSweep brute_force(const std::vector<Term>& terms, Time t_begin,
   return out;
 }
 
-void expect_sweep(const CandidateSweep& got, const CandidateSweep& want) {
+/// The pruned sweep against the brute force: the same maximum and the
+/// same earliest instant attaining it, after evaluating between one and
+/// all of the candidates — all of them on the hazard path, which walks
+/// every candidate.
+void expect_sweep(const CandidateSweep& got, const CandidateSweep& want,
+                  bool hazard = false) {
   EXPECT_FALSE(got.diverged);
   EXPECT_EQ(got.best, want.best);
   EXPECT_EQ(got.best_t, want.best_t);
-  EXPECT_EQ(got.test_points, want.test_points);
+  EXPECT_GE(got.test_points, 1u);
+  EXPECT_LE(got.test_points, want.test_points);
+  if (hazard) {
+    EXPECT_EQ(got.test_points, want.test_points);
+  }
 }
 
 TEST(CandidateSweep, StepExactlyAtTBeginIsCountedOnce) {
@@ -212,7 +222,8 @@ TEST(CandidateSweep, CoincidentStepsOfTwoTermsAreOneCandidate) {
   // 25: six distinct instants from eight steps.
   const std::vector<Term> terms{{0, 10, 3}, {10, 10, 4}, {5, 10, 1}};
   const CandidateSweep s = sweep(terms, 0, 30, -2, 2);
-  EXPECT_EQ(s.test_points, 6u);
+  EXPECT_GE(s.test_points, 1u);
+  EXPECT_LE(s.test_points, 6u);
   expect_sweep(s, brute_force(terms, 0, 30, -2, 2));
 }
 
@@ -230,7 +241,7 @@ TEST(CandidateSweep, HazardPathWalksTheSameCandidates) {
   EXPECT_EQ(s.test_points, 2u);
   EXPECT_EQ(s.best, kInfiniteDuration);
   EXPECT_EQ(s.best_t, 12);
-  expect_sweep(s, brute_force(terms, 0, 21, -5, 5));
+  expect_sweep(s, brute_force(terms, 0, 21, -5, 5), /*hazard=*/true);
 }
 
 TEST(CandidateSweep, WrappedStepInstantDivergesWithNoTestPoints) {
@@ -246,6 +257,141 @@ TEST(CandidateSweep, WrappedStepInstantDivergesWithNoTestPoints) {
       {{std::numeric_limits<Duration>::max() - 5, kHuge, 1}}, 0, 3, 0, 0);
   EXPECT_TRUE(seeding.diverged);
   EXPECT_EQ(seeding.test_points, 0u);
+}
+
+// ---- The branch and bound: which buckets the pruned walk may skip ----
+
+TEST(CandidateSweep, MaximumAtTBeginSkipsEveryLaterBucket) {
+  // Fifty terms stepping once each, at 10, 30, ..., 990, by one unit:
+  // W rises by 1 every 20 time units, so r falls and every 20-wide bucket
+  // bounds below r(0) = 0.  Only t_begin is evaluated.
+  std::vector<Term> terms;
+  for (Duration j = 0; j < 50; ++j) terms.push_back({-(10 + 20 * j), 10000, 1});
+  const CandidateSweep s = sweep(terms, 0, 1000, 0, 0);
+  EXPECT_EQ(s.test_points, 1u);
+  EXPECT_EQ(s.best, 0);
+  EXPECT_EQ(s.best_t, 0);
+  const CandidateSweep all = brute_force(terms, 0, 1000, 0, 0);
+  EXPECT_EQ(all.test_points, 51u);
+  expect_sweep(s, all);
+}
+
+TEST(CandidateSweep, StrictlyRisingResponseWalksEveryCandidate) {
+  // Steps at 5, 15, 25 (+20) and at 10, 20 from two terms at once (+70):
+  // r = 130, 145, 210, 225, 290, 305 rises at every candidate, so every
+  // bucket bounds above the best so far and the maximum is the last
+  // candidate.  Coincident steps are still one candidate.
+  const std::vector<Term> terms{{0, 10, 30}, {10, 10, 40}, {5, 10, 20}};
+  const CandidateSweep s = sweep(terms, 0, 30, 0, 0);
+  EXPECT_EQ(s.test_points, 6u);
+  EXPECT_EQ(s.best, 305);
+  EXPECT_EQ(s.best_t, 25);
+  const CandidateSweep all = brute_force(terms, 0, 30, 0, 0);
+  EXPECT_EQ(all.test_points, 6u);
+  expect_sweep(s, all);
+}
+
+TEST(CandidateSweep, TieInAWalkedBucketKeepsTheEarlierInstant) {
+  // Steps at 4 (+1) and 10 (+9) share the bucket [4, 12), whose bound
+  // 10 - 4 beats r(0) = 0, so it is walked: r(4) = -3, r(10) = 0 ties
+  // with t_begin, which stays the critical instant.
+  const std::vector<Term> terms{{-4, 100, 1}, {-10, 100, 9}};
+  const CandidateSweep s = sweep(terms, 0, 20, 0, 0);
+  EXPECT_EQ(s.test_points, 3u);
+  EXPECT_EQ(s.best, 0);
+  EXPECT_EQ(s.best_t, 0);
+  expect_sweep(s, brute_force(terms, 0, 20, 0, 0));
+}
+
+TEST(CandidateSweep, BucketBoundEqualToTheBestIsSkipped) {
+  // One step at 10 (+10): the bucket [10, 20) bounds r by 10 - 10 = 0 =
+  // r(0).  It cannot beat the best nor move its instant, so it is not
+  // walked.
+  const std::vector<Term> terms{{-10, 100, 10}};
+  const CandidateSweep s = sweep(terms, 0, 20, 0, 0);
+  EXPECT_EQ(s.test_points, 1u);
+  EXPECT_EQ(s.best, 0);
+  EXPECT_EQ(s.best_t, 0);
+  expect_sweep(s, brute_force(terms, 0, 20, 0, 0));
+}
+
+TEST(CandidateSweep, BucketWhoseWorkloadSaturatesIsNeverSkipped) {
+  // W(0) = kInfiniteDuration - 5 and the step at 10 saturates it.  The
+  // wide bound kInfiniteDuration - 10 would lose to r(0), but r(10) reads
+  // the saturated W and is kInfiniteDuration: the bucket must be walked.
+  const std::vector<Term> terms{{-10, 100, 10}};
+  TermBatch batch;
+  batch.push(-10, 100, 10);
+  ASSERT_TRUE(batch.sweep_hazard_free(0, 20));
+  const CandidateSweep s = sweep(terms, 0, 20, kInfiniteDuration - 5, 0);
+  EXPECT_EQ(s.test_points, 2u);
+  EXPECT_EQ(s.best, kInfiniteDuration);
+  EXPECT_EQ(s.best_t, 10);
+  expect_sweep(s, brute_force(terms, 0, 20, kInfiniteDuration - 5, 0));
+}
+
+TEST(CandidateSweep, ResponseThatCanWrapBelowInt64IsNotPruned) {
+  // sat_add reads a sum that wraps below INT64_MIN as saturation, so r is
+  // not monotone there and no bucket bound holds.  W = -1.5 * 2^62 (+1
+  // from the step at 2^62, k = 0; the step at 2^61 has k = -1): r(2^61)
+  // is exactly INT64_MIN, and W + c_last - 2^62 wraps, so r(2^62) is
+  // kInfiniteDuration.  Every candidate must be evaluated.
+  constexpr Duration k61 = Duration{1} << 61;
+  constexpr Duration k62 = Duration{1} << 62;
+  const std::vector<Term> terms{{-k62, k61, 1}};
+  TermBatch batch;
+  batch.push(-k62, k61, 1);
+  ASSERT_TRUE(batch.sweep_hazard_free(0, k62 + 100));
+  const CandidateSweep s = sweep(terms, 0, k62 + 100, -k62 - k61, 0);
+  EXPECT_FALSE(s.diverged);
+  EXPECT_EQ(s.test_points, 3u);
+  EXPECT_EQ(s.best, kInfiniteDuration);
+  EXPECT_EQ(s.best_t, k62);
+}
+
+TEST(CandidateSweep, WrappedStepInASkippedBucketDiverges) {
+  // Ten falling terms step at 10, 30, ..., 190.  The last term steps at
+  // 50 (k = 0) and its next step, (INT64_MAX - 10) + 50, wraps int64.
+  // Its bucket bounds below r(0) = 0 and is never walked, yet the sweep
+  // is divergent, with no test points.
+  std::vector<Term> terms;
+  for (Duration j = 0; j < 10; ++j) terms.push_back({-(10 + 20 * j), 10000, 1});
+  terms.push_back({-50, std::numeric_limits<Duration>::max() - 10, 1});
+  TermBatch batch;
+  for (const Term& x : terms) batch.push(x.offset, x.period, x.cost);
+  ASSERT_TRUE(batch.sweep_hazard_free(0, 200));
+  const CandidateSweep s = sweep(terms, 0, 200, 0, 0);
+  EXPECT_TRUE(s.diverged);
+  EXPECT_EQ(s.test_points, 0u);
+  // Without the wrapping term the same range prunes to t_begin alone.
+  terms.pop_back();
+  EXPECT_EQ(sweep(terms, 0, 200, 0, 0).test_points, 1u);
+}
+
+TEST(CandidateSweep, PrunedSweepMatchesBruteForceOnRandomTermSets) {
+  // Small random term sets, some with W(t) near saturation: the pruned
+  // sweep must find the brute force's maximum and earliest instant.
+  std::mt19937_64 rng(0x5EEB);
+  const auto pick = [&rng](Duration lo, Duration hi) {
+    return std::uniform_int_distribution<Duration>(lo, hi)(rng);
+  };
+  std::size_t pruned = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<Term> terms(static_cast<std::size_t>(pick(1, 8)));
+    for (Term& x : terms) x = {pick(-60, 60), pick(1, 40), pick(0, 30)};
+    const Time t_begin = pick(-30, 10);
+    const Time t_end = t_begin + pick(1, 80);
+    const Duration constant =
+        round % 4 == 0 ? kInfiniteDuration - pick(0, 400) : pick(-20, 20);
+    const Duration c_last = pick(0, 20);
+    SCOPED_TRACE(round);
+    const CandidateSweep got = sweep(terms, t_begin, t_end, constant, c_last);
+    const CandidateSweep want =
+        brute_force(terms, t_begin, t_end, constant, c_last);
+    expect_sweep(got, want);
+    if (got.test_points < want.test_points) ++pruned;
+  }
+  EXPECT_GT(pruned, 0u);
 }
 
 TEST(CandidateSweep, BudgetCountsProjectedSteps) {
