@@ -1,6 +1,5 @@
 #include "admission/admission.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "base/contracts.h"
@@ -36,74 +35,26 @@ Decision evaluate(const model::FlowSet& admitted,
                   const trajectory::Config& trajectory_cfg,
                   obs::Telemetry* telemetry) {
   Decision d;
-
-  // Structural rejections first: name clash, path outside the network.
-  if (admitted.find(candidate.name())) {
-    d.reason = "a flow named '" + candidate.name() + "' is already admitted";
-    return d;
-  }
-  model::FlowSet tentative = admitted;
-  tentative.add(candidate);
-  if (const auto issues = tentative.validate(); !issues.empty()) {
-    d.reason = "invalid request: " + issues.front().message;
-    return d;
-  }
-
-  // Necessary condition: no node may exceed full utilisation.
-  for (const NodeId h : candidate.path().nodes()) {
-    if (tentative.node_utilisation(h) > 1.0) {
-      d.reason = "node " + std::to_string(h) + " would exceed capacity";
-      return d;
-    }
-  }
-
-  auto harvest = [&](const auto& bounds, bool converged) {
-    bool ok = converged;
-    for (const auto& b : bounds) {
-      const std::string& name = tentative.flow(b.flow).name();
-      if (name == candidate.name()) d.candidate_bound = b.response;
-      if (!b.schedulable) {
-        d.violating.push_back(name);
-        ok = false;
-      }
-    }
-    return ok;
-  };
-
-  bool ok = false;
-  switch (kind) {
-    case AnalysisKind::kTrajectory:
-    case AnalysisKind::kTrajectoryEf: {
-      const trajectory::Result r =
-          trajectory::analyze(tentative, trajectory_cfg, telemetry);
-      ok = harvest(r.bounds, r.converged);
-      break;
-    }
-    case AnalysisKind::kHolistic: {
-      const holistic::Result r = holistic::analyze(tentative, {}, telemetry);
-      ok = harvest(r.bounds, r.converged);
-      break;
-    }
-    case AnalysisKind::kNetworkCalculus: {
-      const netcalc::Result r = netcalc::analyze(tentative, {}, telemetry);
-      ok = harvest(r.bounds, r.converged);
-      break;
-    }
-  }
-
-  if (!ok) {
-    // Name the smallest violating name, not the first in `admitted`'s
-    // order: the shard-routed gate sees flows in name order, and both
-    // gates must word a rejection identically.
-    d.reason = d.violating.empty()
-                   ? "analysis did not converge"
-                   : "deadline miss certified for: " +
-                         *std::min_element(d.violating.begin(),
-                                           d.violating.end());
-    return d;
-  }
-  d.admitted = true;
-  d.reason = "admitted";
+  trajectory::decide_admission(
+      d, candidate, admitted.find(candidate.name()).has_value(),
+      [&](std::vector<model::ValidationIssue>& issues) {
+        model::FlowSet tentative = admitted;
+        tentative.add(candidate);
+        issues = tentative.validate();
+        return tentative;
+      },
+      [&](const model::FlowSet& tentative) {
+        const auto harvest = [&](const auto& r) {
+          return trajectory::harvest_admission(d, tentative, candidate,
+                                               r.bounds, r.converged);
+        };
+        if (kind == AnalysisKind::kHolistic)
+          return harvest(holistic::analyze(tentative, {}, telemetry));
+        if (kind == AnalysisKind::kNetworkCalculus)
+          return harvest(netcalc::analyze(tentative, {}, telemetry));
+        return harvest(
+            trajectory::analyze(tentative, trajectory_cfg, telemetry));
+      });
   return d;
 }
 
@@ -115,11 +66,8 @@ Decision AdmissionController::request(const model::SporadicFlow& flow) {
     // analysed; the decision is bit-identical to the global evaluate()
     // (docs/sharding.md), only cheaper.
     trajectory::AdmitOutcome o = sharded_->admit(flow);
-    d.admitted = o.admitted;
-    d.reason = std::move(o.reason);
-    d.violating = std::move(o.violating);
-    d.candidate_bound = o.candidate_bound;
     last_stats_ = o.stats;
+    d = std::move(o);
   } else {
     d = evaluate(set_, flow, kind_, trajectory_cfg_, telemetry_);
   }

@@ -31,29 +31,23 @@ enum class AnalysisKind {
   kNetworkCalculus,  ///< Network-calculus baseline.
 };
 
-/// Outcome of one admission request.
-struct Decision {
-  bool admitted = false;
-  /// Human-readable explanation; a deadline-miss rejection names the
-  /// violating flow with the smallest name.
-  std::string reason;
-  /// Names of flows whose deadline the newcomer would break (possibly
-  /// including the newcomer itself).
-  std::vector<std::string> violating;
-  /// Bound computed for the newcomer in the tentative set (divergent =>
-  /// kInfiniteDuration); only meaningful when the analysis ran.
-  Duration candidate_bound = 0;
-};
+/// Outcome of one admission request: the decision type of the one
+/// admission rule, trajectory::decide_admission.  Rule and type live in
+/// trajectory/shard.h because ShardedAnalyzer::admit applies the rule
+/// too, and tfa_trajectory cannot link this library.
+using Decision = trajectory::AdmitDecision;
 
 /// The stateless core of one admission decision: would `candidate` be
-/// admissible on top of the already-certified `admitted` set?  Performs
-/// the structural checks (name clash, validation, node capacity) and the
-/// worst-case analysis of the tentative set, but commits nothing — the
-/// caller owns the set and applies the add itself on a positive decision.
+/// admissible on top of the already-certified `admitted` set?  Applies the
+/// admission rule (trajectory::decide_admission) with a cold analysis of
+/// the whole tentative set, which it validates in full (`admitted` comes
+/// from the caller, and the holistic and network-calculus backends do not
+/// validate their input).  Commits nothing — the caller owns the set and
+/// applies the add itself on a positive decision.
 ///
-/// The analysis runs cold on the tentative set.  AdmissionController
-/// takes this path for the holistic / network-calculus kinds; its
-/// trajectory kinds go through the sharded analyzer instead, which
+/// AdmissionController takes this path for the holistic /
+/// network-calculus kinds; its trajectory kinds go through
+/// ShardedAnalyzer::admit, which applies the same rule per shard and
 /// reaches the same decision (docs/sharding.md).
 [[nodiscard]] Decision evaluate(const model::FlowSet& admitted,
                                 const model::SporadicFlow& candidate,
@@ -63,13 +57,16 @@ struct Decision {
 
 /// Edge admission controller.
 ///
-/// The trajectory kinds route every request through a sharded incremental
-/// analyzer (trajectory/shard.h): the flow-dependency graph is kept
-/// partitioned into connected components, and an admission analyses only
-/// the shards the candidate's path touches — bit-identical to the global
-/// analysis by the shard-decomposition argument (docs/sharding.md), but
-/// with per-request cost scaling in the shard size, not the network size.
-/// The holistic / network-calculus kinds keep the global evaluate() path.
+/// Every kind decides by the one admission rule
+/// (trajectory::decide_admission); the kinds differ only in how they
+/// analyse the tentative set.  The trajectory kinds route every request
+/// through a sharded incremental analyzer (trajectory/shard.h): the
+/// flow-dependency graph is kept partitioned into connected components,
+/// and an admission analyses only the shards the candidate's path touches
+/// — bit-identical to the global analysis by the shard-decomposition
+/// argument (docs/sharding.md), but with per-request cost scaling in the
+/// shard size, not the network size.  The holistic / network-calculus
+/// kinds analyse the whole set cold through evaluate().
 class AdmissionController {
  public:
   explicit AdmissionController(model::Network network,

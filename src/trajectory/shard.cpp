@@ -360,111 +360,82 @@ std::size_t ShardedAnalyzer::settle(EngineStats* work) {
 AdmitOutcome ShardedAnalyzer::admit(const model::SporadicFlow& candidate) {
   ++stats_.requests;
   AdmitOutcome out;
-
-  // Structural gates, in admission::evaluate()'s order and wording.
-  if (flows_.contains(candidate.name())) {
-    out.reason =
-        "a flow named '" + candidate.name() + "' is already admitted";
-    return out;
-  }
-  if (const auto issues = model::validate_flow(net_, candidate);
-      !issues.empty()) {
-    out.reason = "invalid request: " + issues.front().message;
-    return out;
-  }
-
-  // Tentative set = the union of every shard the candidate's path touches,
-  // plus the candidate, in canonical name order.  The partition rule makes
-  // this exactly the set of flows whose bounds the candidate can move —
-  // and the only flows contributing to utilisation on its path's nodes.
-  const std::vector<ShardId> members = member_shards(candidate);
-  std::vector<std::string> names;
-  for (const ShardId id : members) {
-    const Shard& s = shard_at(id);
-    names.insert(names.end(), s.names.begin(), s.names.end());
-  }
-  std::sort(names.begin(), names.end());
-  model::FlowSet tentative(net_);
-  {
-    const auto pos = std::lower_bound(names.begin(), names.end(),
-                                      candidate.name());
-    for (auto it = names.begin(); it != pos; ++it)
-      tentative.add(flows_.at(*it));
-    tentative.add(candidate);
-    for (auto it = pos; it != names.end(); ++it)
-      tentative.add(flows_.at(*it));
-  }
-  for (const NodeId h : candidate.path().nodes()) {
-    if (tentative.node_utilisation(h) > 1.0) {
-      out.reason = "node " + std::to_string(h) + " would exceed capacity";
-      return out;
-    }
-  }
-
-  // Every shard's standing verdict must be current before it can veto (or
-  // wave through) the admission.  Also refreshes the member caches, so the
-  // tentative run below warm-starts in the steady sequence.
-  settle();
-
-  // Analyse the tentative union on a scratch copy of the target lineage:
-  // a rejection leaves every committed cache untouched.
+  std::vector<ShardId> members;
   AnalysisCache scratch;
-  if (!members.empty()) scratch = shard_at(largest_member(members)).cache;
-  obs::Telemetry local;
-  obs::Telemetry* sink = telemetry_ != nullptr ? &local : nullptr;
-  Result r = reanalyze_with(tentative, scratch, cfg_, sink);
-  out.stats = r.stats;
-  out.shard_flows = tentative.size();
-  publish_run(r, tentative.size(), sink);
-
-  bool ok = r.converged;
-  for (const FlowBound& b : r.bounds) {
-    const std::string& name = tentative.flow(b.flow).name();
-    if (name == candidate.name()) out.candidate_bound = b.response;
-    if (!b.schedulable) {
-      out.violating.push_back(name);
-      ok = false;
-    }
-  }
-  // Untouched shards keep their certified verdicts; an unhealthy one
-  // vetoes the admission exactly as its flows would in a global analysis.
-  // The unhealthy index (everything is settled here) replaces the former
-  // all-shards scan; it iterates in the same shard-id order.
-  for (const ShardId id : unhealthy_) {
-    if (std::binary_search(members.begin(), members.end(), id)) continue;
-    const Shard& s = shard_at(id);
-    TFA_ASSERT(s.analyzed && !s.healthy);
-    ok = false;
-    for (const FlowBound& b : s.last.bounds)
-      if (!b.schedulable)
-        out.violating.push_back(s.set.flow(b.flow).name());
-  }
-
-  if (!ok) {
-    // Name the smallest violating name over the tentative union AND the
-    // unhealthy untouched shards — evaluate()'s pick on the whole set.
-    out.reason = out.violating.empty()
-                     ? "analysis did not converge"
-                     : "deadline miss certified for: " +
-                           *std::min_element(out.violating.begin(),
-                                             out.violating.end());
-    return out;
-  }
+  Result r;
+  decide_admission(
+      out, candidate, flows_.contains(candidate.name()),
+      [&](std::vector<model::ValidationIssue>& issues) {
+        model::FlowSet tentative(net_);
+        issues = model::validate_flow(net_, candidate);
+        if (!issues.empty()) return tentative;
+        // Tentative set = the union of every shard the candidate's path
+        // touches, plus the candidate, in canonical name order.  The
+        // partition rule makes this exactly the set of flows whose bounds
+        // the candidate can move — and the only flows contributing to
+        // utilisation on its path's nodes.
+        members = member_shards(candidate);
+        std::vector<std::string> names;
+        for (const ShardId id : members) {
+          const Shard& s = shard_at(id);
+          names.insert(names.end(), s.names.begin(), s.names.end());
+        }
+        std::sort(names.begin(), names.end());
+        const auto pos = std::lower_bound(names.begin(), names.end(),
+                                          candidate.name());
+        for (auto it = names.begin(); it != pos; ++it)
+          tentative.add(flows_.at(*it));
+        tentative.add(candidate);
+        for (auto it = pos; it != names.end(); ++it)
+          tentative.add(flows_.at(*it));
+        return tentative;
+      },
+      [&](const model::FlowSet& tentative) {
+        // Every shard's standing verdict must be current before it can
+        // veto (or wave through) the admission.  Also refreshes the member
+        // caches, so the tentative run below warm-starts in the steady
+        // sequence.
+        settle();
+        // Analyse the tentative union on a scratch copy of the target
+        // lineage: a rejection leaves every committed cache untouched.
+        if (!members.empty()) scratch = shard_at(largest_member(members)).cache;
+        obs::Telemetry local;
+        obs::Telemetry* sink = telemetry_ != nullptr ? &local : nullptr;
+        r = reanalyze_with(tentative, scratch, cfg_, sink);
+        out.stats = r.stats;
+        out.shard_flows = tentative.size();
+        publish_run(r, tentative.size(), sink);
+        bool ok =
+            harvest_admission(out, tentative, candidate, r.bounds, r.converged);
+        // Untouched shards keep their certified verdicts; an unhealthy one
+        // vetoes the admission exactly as its flows would in a global
+        // analysis.  The unhealthy index (everything is settled here)
+        // iterates in shard-id order.
+        for (const ShardId id : unhealthy_) {
+          if (std::binary_search(members.begin(), members.end(), id)) continue;
+          const Shard& s = shard_at(id);
+          TFA_ASSERT(s.analyzed && !s.healthy);
+          ok = false;
+          for (const FlowBound& b : s.last.bounds)
+            if (!b.schedulable)
+              out.violating.push_back(s.set.flow(b.flow).name());
+        }
+        return ok;
+      });
+  if (!out.admitted) return out;
 
   // Commit: merge the member shards and install the already-analysed
   // state.  apply_merge() keeps names sorted, so the merged shard's set is
-  // exactly `tentative` and `r`'s flow indices stay valid.
+  // exactly the tentative set and `r`'s flow indices stay valid.
   const ShardId target = apply_merge(members, candidate);
   Shard& t = shard_at(target);
-  TFA_ASSERT(t.set.size() == tentative.size());
+  TFA_ASSERT(t.set.size() == out.shard_flows);
   t.cache = std::move(scratch);
   t.last = std::move(r);
   t.analyzed = true;
   t.healthy = true;
   dirty_.erase(target);
   unhealthy_.erase(target);
-  out.admitted = true;
-  out.reason = "admitted";
   out.shard = target;
   out.merged_shards = members.empty() ? 0 : members.size() - 1;
   return out;

@@ -20,6 +20,7 @@
 // AdmissionController would.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -65,15 +66,88 @@ struct ShardOutcome {
   std::size_t split_shards = 0;    ///< New shards a removal split off.
 };
 
-/// Outcome of one shard-routed admission request.  Field semantics match
-/// admission::Decision (same reason strings, same candidate_bound rule);
-/// `violating` lists the same *set* of names the global analysis would,
-/// but ordered tentative-shard-first instead of by insertion order.
-struct AdmitOutcome {
+/// What one admission request decided (admission::Decision names this
+/// type; AdmitOutcome extends it).
+struct AdmitDecision {
   bool admitted = false;
+  /// Human-readable explanation; a deadline-miss rejection names the
+  /// violating flow with the smallest name.
   std::string reason;
+  /// Names of flows whose deadline the newcomer would break (possibly
+  /// including the newcomer itself).
   std::vector<std::string> violating;
+  /// Bound computed for the newcomer in the tentative set (divergent =>
+  /// kInfiniteDuration); only meaningful when the analysis ran.
   Duration candidate_bound = 0;
+};
+
+/// Records the candidate's bound and every unschedulable flow of one
+/// analysis of `tentative` (any backend's FlowBounds) in `d`.  Returns
+/// whether that analysis converged with every bound schedulable.
+template <typename Bounds>
+bool harvest_admission(AdmitDecision& d, const model::FlowSet& tentative,
+                       const model::SporadicFlow& candidate,
+                       const Bounds& bounds, bool converged) {
+  bool ok = converged;
+  for (const auto& b : bounds) {
+    const std::string& name = tentative.flow(b.flow).name();
+    if (name == candidate.name()) d.candidate_bound = b.response;
+    if (!b.schedulable) {
+      d.violating.push_back(name);
+      ok = false;
+    }
+  }
+  return ok;
+}
+
+/// The admission rule (paper Section 6.2), written once for both gates:
+/// admission::evaluate analyses the whole tentative set cold,
+/// ShardedAnalyzer::admit the candidate's shard union on a scratch cache.
+/// It lives in trajectory/ because tfa_trajectory cannot link
+/// tfa_admission, and both gates must reach it.
+///
+/// In order, the first failure sets `d.reason`: a taken name; the first
+/// of the `issues` that `build(issues)` reports while building the
+/// tentative set; a node on the candidate's path loaded past capacity;
+/// `analyse(tentative)`, which harvests its analysis (harvest_admission),
+/// adds any vetoes of its own and returns whether the set is schedulable.
+/// A deadline miss names the smallest violating name, so the wording does
+/// not depend on the order in which a gate saw the flows.
+template <typename Build, typename Analyse>
+void decide_admission(AdmitDecision& d, const model::SporadicFlow& candidate,
+                      bool name_taken, Build&& build, Analyse&& analyse) {
+  if (name_taken) {
+    d.reason = "a flow named '" + candidate.name() + "' is already admitted";
+    return;
+  }
+  std::vector<model::ValidationIssue> issues;
+  const model::FlowSet tentative = build(issues);
+  if (!issues.empty()) {
+    d.reason = "invalid request: " + issues.front().message;
+    return;
+  }
+  for (const NodeId h : candidate.path().nodes()) {
+    if (tentative.node_utilisation(h) > 1.0) {
+      d.reason = "node " + std::to_string(h) + " would exceed capacity";
+      return;
+    }
+  }
+  if (!analyse(tentative)) {
+    d.reason = d.violating.empty()
+                   ? "analysis did not converge"
+                   : "deadline miss certified for: " +
+                         *std::min_element(d.violating.begin(),
+                                           d.violating.end());
+    return;
+  }
+  d.admitted = true;
+  d.reason = "admitted";
+}
+
+/// Outcome of one shard-routed admission request: the decision of the
+/// admission rule, with `violating` ordered tentative-shard-first (then
+/// the vetoing shards in shard-id order) instead of by insertion order.
+struct AdmitOutcome : AdmitDecision {
   EngineStats stats;               ///< The tentative run (zeroes when skipped).
   ShardId shard = 0;               ///< Target shard of the candidate.
   std::size_t shard_flows = 0;     ///< Flows the tentative run analysed.
@@ -131,10 +205,11 @@ class ShardedAnalyzer {
   /// candidate's path touches (plus the candidate) on a scratch copy of
   /// the target cache, checks every *other* shard's standing verdict in
   /// O(shards), and commits the merge + analysed state only on success.
-  /// Decision-equivalent to admission::evaluate() on the whole set (the
-  /// shard-equivalence battery pins it); a rejection leaves every shard
-  /// lineage untouched — unlike the pre-shard controller, a rejected
-  /// candidate cannot poison the warm-start cache.
+  /// Applies the admission rule (decide_admission()) with this analysis,
+  /// the vetoes of unhealthy untouched shards added, so the decision
+  /// equals admission::evaluate() on the whole set (the shard-equivalence
+  /// battery pins it).  A rejection leaves every shard lineage untouched:
+  /// a rejected candidate cannot poison a warm-start cache.
   AdmitOutcome admit(const model::SporadicFlow& candidate);
 
   /// Re-analyses every dirty shard (in shard-id order, fanned out over

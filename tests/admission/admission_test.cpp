@@ -97,28 +97,63 @@ TEST(Admission, RejectsFlowMissingItsOwnDeadline) {
   EXPECT_GT(d.candidate_bound, 10);
 }
 
-TEST(Admission, RejectsDuplicateNames) {
-  AdmissionController ac(Network(2, 1, 1));
+/// The structural rejections of the admission rule, for every analysis
+/// kind: the holistic and network-calculus kinds reach it through
+/// evaluate(), the trajectory kinds through ShardedAnalyzer::admit.
+class AdmissionGate : public ::testing::TestWithParam<AnalysisKind> {
+ protected:
+  /// Whether the request was routed through the sharded analyzer.
+  static bool routed_by_shards(const AdmissionController& ac) {
+    return ac.shard_stats().requests > 0;
+  }
+  static bool sharded_kind() {
+    return GetParam() == AnalysisKind::kTrajectory ||
+           GetParam() == AnalysisKind::kTrajectoryEf;
+  }
+};
+
+TEST_P(AdmissionGate, RejectsDuplicateNames) {
+  AdmissionController ac(Network(2, 1, 1), GetParam());
   ASSERT_TRUE(ac.request(flow("a", Path{0}, 50, 4, 100)).admitted);
   const Decision d = ac.request(flow("a", Path{1}, 50, 4, 100));
   EXPECT_FALSE(d.admitted);
-  EXPECT_NE(d.reason.find("already admitted"), std::string::npos);
+  EXPECT_EQ(d.reason, "a flow named 'a' is already admitted");
+  EXPECT_TRUE(d.violating.empty());
+  EXPECT_EQ(routed_by_shards(ac), sharded_kind());
 }
 
-TEST(Admission, RejectsPathOutsideNetwork) {
-  AdmissionController ac(Network(2, 1, 1));
+TEST_P(AdmissionGate, RejectsPathOutsideNetwork) {
+  AdmissionController ac(Network(2, 1, 1), GetParam());
   const Decision d = ac.request(flow("x", Path{0, 7}, 50, 4, 100));
   EXPECT_FALSE(d.admitted);
-  EXPECT_NE(d.reason.find("invalid request"), std::string::npos);
+  EXPECT_EQ(d.reason, "invalid request: path node 7 outside the network");
+  EXPECT_EQ(routed_by_shards(ac), sharded_kind());
 }
 
-TEST(Admission, RejectsOverloadBeforeRunningAnalysis) {
-  AdmissionController ac(Network(1, 1, 1));
+TEST_P(AdmissionGate, RejectsOverloadBeforeRunningAnalysis) {
+  AdmissionController ac(Network(1, 1, 1), GetParam());
   ASSERT_TRUE(ac.request(flow("a", Path{0}, 10, 6, 1000)).admitted);
   const Decision d = ac.request(flow("b", Path{0}, 10, 6, 1000));
   EXPECT_FALSE(d.admitted);
-  EXPECT_NE(d.reason.find("capacity"), std::string::npos);
+  EXPECT_EQ(d.reason, "node 0 would exceed capacity");
+  EXPECT_EQ(d.candidate_bound, 0);  // no analysis ran
+  EXPECT_EQ(routed_by_shards(ac), sharded_kind());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, AdmissionGate,
+    ::testing::Values(AnalysisKind::kTrajectory, AnalysisKind::kTrajectoryEf,
+                      AnalysisKind::kHolistic,
+                      AnalysisKind::kNetworkCalculus),
+    [](const ::testing::TestParamInfo<AnalysisKind>& param) {
+      switch (param.param) {
+        case AnalysisKind::kTrajectory: return std::string("Trajectory");
+        case AnalysisKind::kTrajectoryEf: return std::string("TrajectoryEf");
+        case AnalysisKind::kHolistic: return std::string("Holistic");
+        case AnalysisKind::kNetworkCalculus: break;
+      }
+      return std::string("NetworkCalculus");
+    });
 
 TEST(Admission, ReleaseMakesRoomAgain) {
   AdmissionController ac(Network(2, 1, 1));

@@ -145,6 +145,13 @@ TEST(Malformed, FlowLevelErrors) {
   EXPECT_EQ(error_code(lb.request(
                 R"({"op":"provision","session":"empty"})")),
             "empty_session");
+  // An admit onto the empty session is a normal admission, not an error.
+  const std::string admit = lb.request(
+      R"({"op":"admit","session":"empty","flow":"flow x EF 36 0 40 path 1 3 costs 4"})");
+  EXPECT_EQ(error_code(admit), "<no error member>") << admit;
+  EXPECT_NE(admit.find(R"("admitted":true,"reason":"admitted")"),
+            std::string::npos)
+      << admit;
   // A provision probe that fails the flow parser.
   EXPECT_EQ(
       error_code(lb.request(
