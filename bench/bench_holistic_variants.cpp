@@ -48,13 +48,15 @@ void sweep(const std::string& family, const model::FlowSet& set) {
         sum += b.response;
         mx = std::max(mx, b.response);
       }
+      std::string ratio = "-";
+      if (finite) {
+        ratio = "x";
+        ratio += format_fixed(
+            static_cast<double>(sum) / static_cast<double>(tr_sum), 2);
+      }
       t.add_row({jitter_name(jr), bound_name(nb),
                  finite ? format_duration(sum) : "unbounded",
-                 format_duration(mx),
-                 finite ? "x" + format_fixed(static_cast<double>(sum) /
-                                                 static_cast<double>(tr_sum),
-                                             2)
-                        : "-"});
+                 format_duration(mx), ratio});
     }
   }
   std::printf("%s\n", t.to_string().c_str());

@@ -55,8 +55,10 @@ model::FlowSet make_workload(std::int32_t nodes, std::int32_t flows) {
     const std::int32_t start = i % (nodes - len + 1);
     std::vector<NodeId> route;
     for (std::int32_t k = 0; k < len; ++k) route.push_back(start + k);
-    model::SporadicFlow f("f" + std::to_string(i), model::Path(route), period,
-                          cost, jitter, /*deadline=*/1'000'000);
+    std::string name("f");
+    name += std::to_string(i);
+    model::SporadicFlow f(name, model::Path(route), period, cost, jitter,
+                          /*deadline=*/1'000'000);
     // Segment 1 is exactly tight at the staircase's first jump
     // t1 = m0 T - J = T/2: 3 + (2/T)(T/2) = 4.  Segment 2 relaxes the
     // rate towards the intrinsic 1/T with one extra packet of slack.

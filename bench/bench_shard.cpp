@@ -56,8 +56,11 @@ std::vector<model::SporadicFlow> cluster_flows(std::int32_t cluster,
     const NodeId b = base + (i % kClusterNodes + 1 + i / kClusterNodes %
                              (kClusterNodes - 1)) % kClusterNodes;
     const Duration period = 40 + 10 * (i % 7);
-    out.emplace_back("c" + std::to_string(cluster) + "_f" + std::to_string(i),
-                     model::Path{a, b}, period, /*cost=*/1, /*jitter=*/0,
+    std::string name("c");
+    name += std::to_string(cluster);
+    name += "_f";
+    name += std::to_string(i);
+    out.emplace_back(name, model::Path{a, b}, period, /*cost=*/1, /*jitter=*/0,
                      /*deadline=*/100'000);
   }
   return out;

@@ -257,7 +257,10 @@ int cmd_provision(const model::FlowSet& set, Duration capacity,
     std::string exact = "-";
     if (nb.sizeable) {
       exact = std::to_string(nb.exact.num());
-      if (nb.exact.den() != 1) exact += "/" + std::to_string(nb.exact.den());
+      if (nb.exact.den() != 1) {
+        exact += '/';
+        exact += std::to_string(nb.exact.den());
+      }
     }
     std::string binding = "-";
     std::string constraint = "-";

@@ -1,56 +1,84 @@
 #include "model/normalize.h"
 
 #include <algorithm>
-#include <optional>
+#include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "base/contracts.h"
-#include "model/path_algebra.h"
 
 namespace tfa::model {
 
 namespace {
 
-/// Returns the position in P_j at which tau_j violates Assumption 1
-/// relative to P_i (start of a second run on P_i, or a direction change
-/// inside the shared segment), or nullopt when compliant.
-std::optional<std::size_t> first_violation(const Path& pi, const Path& pj) {
-  bool seen_run = false;      // a completed shared run exists
-  bool in_run = false;
-  std::ptrdiff_t prev_pos = -1;
-  int direction = 0;          // 0 unknown, +1 forward along P_i, -1 backward
+/// Assumption 1 from the incidence index, one walk per path.  Walking P_i
+/// over the visits of its nodes, it keeps for every flow tau_j met the
+/// count, least and greatest of the P_j positions seen, and whether they
+/// stayed strictly monotone along P_i.  tau_j violates Assumption 1
+/// relative to P_i exactly when those positions are not contiguous on
+/// P_j (greatest - least + 1 != count: tau_j leaves P_i and re-enters it)
+/// or not monotone (a zig-zag inside the shared segment) — see
+/// docs/math.md, "Prefix geometry from one walk".
+class Assumption1Walk {
+ public:
+  explicit Assumption1Walk(const Incidence& index)
+      : index_(index), runs_(index.flow_count()) {}
 
-  for (std::size_t k = 0; k < pj.size(); ++k) {
-    const std::ptrdiff_t p = pi.index_of(pj.at(k));
-    if (p < 0) {
-      if (in_run) {
-        in_run = false;
-        seen_run = true;
+  /// The flows tau_j, j != i, that violate Assumption 1 relative to P_i,
+  /// in the order the walk meets them.
+  const std::vector<FlowIndex>& violators(FlowIndex i) {
+    met_.clear();
+    out_.clear();
+    for (const std::uint32_t slot : index_.slots(i))
+      for (const Visit& v : index_.visitors(slot)) {
+        if (v.flow == i) continue;
+        Run& r = runs_[static_cast<std::size_t>(v.flow)];
+        if (r.owner != i) {
+          r = {.owner = i, .count = 1, .lo = v.pos, .hi = v.pos, .prev = v.pos};
+          met_.push_back(v.flow);
+          continue;
+        }
+        const int step = v.pos > r.prev ? +1 : -1;
+        if (r.direction == 0)
+          r.direction = step;
+        else if (step != r.direction)
+          r.monotone = false;
+        r.prev = v.pos;
+        r.lo = std::min(r.lo, v.pos);
+        r.hi = std::max(r.hi, v.pos);
+        ++r.count;
       }
-      continue;
+    for (const FlowIndex j : met_) {
+      const Run& r = runs_[static_cast<std::size_t>(j)];
+      if (!r.monotone || r.hi - r.lo + 1 != r.count) out_.push_back(j);
     }
-    if (!in_run) {
-      if (seen_run) return k;  // re-entry into P_i: second run starts here
-      in_run = true;
-      prev_pos = p;
-      direction = 0;
-      continue;
-    }
-    const int step = p > prev_pos ? +1 : -1;
-    if (direction == 0) {
-      direction = step;
-    } else if (step != direction) {
-      return k;  // zig-zag inside the shared segment
-    }
-    prev_pos = p;
+    return out_;
   }
-  return std::nullopt;
-}
+
+ private:
+  /// The P_j positions of tau_j's visits to P_i, in P_i order.
+  struct Run {
+    FlowIndex owner = kNoFlow;  ///< The path P_i being walked.
+    std::uint32_t count = 0;
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    std::uint32_t prev = 0;
+    int direction = 0;          ///< 0 unknown, +1 forward, -1 backward.
+    bool monotone = true;
+  };
+
+  const Incidence& index_;
+  std::vector<Run> runs_;          // [flow]
+  std::vector<FlowIndex> met_;
+  std::vector<FlowIndex> out_;
+};
 
 /// Every position at which P_f must be cut to satisfy Assumption 1
-/// relative to P_i — the generalisation of first_violation that keeps
-/// scanning, treating each cut as the start of a fresh flow.
+/// relative to P_i: a scan of P_f that cuts at each re-entry into P_i and
+/// at each direction change inside the shared segment, treating each cut
+/// as the start of a fresh flow.  It cuts nothing exactly when the pair
+/// complies: up to its first cut it is the plain pairwise check.
 void violation_positions(const Path& pi, const Path& pf,
                          std::set<std::size_t>& cuts) {
   bool seen_run = false;
@@ -111,13 +139,13 @@ Duration crude_prefix_jitter(const FlowSet& set, const SporadicFlow& flow,
 }  // namespace
 
 bool satisfies_assumption1(const FlowSet& set) {
-  for (std::size_t i = 0; i < set.size(); ++i)
-    for (std::size_t j = 0; j < set.size(); ++j) {
-      if (i == j) continue;
-      if (first_violation(set.flow(static_cast<FlowIndex>(i)).path(),
-                          set.flow(static_cast<FlowIndex>(j)).path()))
-        return false;
-    }
+  return satisfies_assumption1(Incidence(set));
+}
+
+bool satisfies_assumption1(const Incidence& index) {
+  Assumption1Walk walk(index);
+  for (std::size_t i = 0; i < index.flow_count(); ++i)
+    if (!walk.violators(static_cast<FlowIndex>(i)).empty()) return false;
   return true;
 }
 
@@ -142,17 +170,18 @@ NormalisationReport normalise(const FlowSet& set, SplitJitterPolicy policy) {
   for (bool changed = true; changed;) {
     changed = false;
 
-    // Snapshot the current paths, then compute every flow's cuts against
-    // every other path.
+    // Snapshot the current paths, flag every violating pair with one
+    // incidence walk per path, then compute the cuts of the flagged pairs
+    // only: a compliant pair contributes no cut.
     const std::size_t n = fs.size();
     std::vector<std::set<std::size_t>> cuts(n);
-    for (std::size_t f = 0; f < n; ++f) {
-      const Path& pf = fs.flow(static_cast<FlowIndex>(f)).path();
-      for (std::size_t i = 0; i < n; ++i) {
-        if (i == f) continue;
-        violation_positions(fs.flow(static_cast<FlowIndex>(i)).path(), pf,
-                            cuts[f]);
-      }
+    const Incidence index(fs);
+    Assumption1Walk walk(index);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto fi = static_cast<FlowIndex>(i);
+      for (const FlowIndex f : walk.violators(fi))
+        violation_positions(fs.flow(fi).path(), fs.flow(f).path(),
+                            cuts[static_cast<std::size_t>(f)]);
     }
 
     // Apply all cuts (descending flow index keeps earlier indices valid;

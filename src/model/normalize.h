@@ -12,6 +12,7 @@
 
 #include "base/types.h"
 #include "model/flow_set.h"
+#include "model/path_algebra.h"
 
 namespace tfa::model {
 
@@ -41,8 +42,12 @@ struct NormalisationReport {
 
 /// True iff every ordered flow pair satisfies Assumption 1: the nodes of
 /// P_j inside P_i form one contiguous run of P_j whose positions along P_i
-/// are strictly monotone.
+/// are strictly monotone.  One walk of each path over the visits of its
+/// nodes; pairs that share no node are never looked at.
 [[nodiscard]] bool satisfies_assumption1(const FlowSet& set);
+
+/// The same check over an index already built for the set.
+[[nodiscard]] bool satisfies_assumption1(const Incidence& index);
 
 /// Splits flows until Assumption 1 holds.  Deterministic; terminates
 /// because every split strictly shortens a path.

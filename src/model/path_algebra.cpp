@@ -7,52 +7,112 @@
 
 namespace tfa::model {
 
-FlowSetGeometry::FlowSetGeometry(const FlowSet& set) : set_(&set) {
+Incidence::Incidence(const FlowSet& set) {
   const std::size_t n = set.size();
-  const auto node_count = static_cast<std::size_t>(set.network().node_count());
-
-  pos_.resize(n);
-  smin_.resize(n);
+  path_begin_.resize(n + 1);
+  std::size_t total = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    pos_[i].assign(node_count, -1);
-    const SporadicFlow& f = set.flow(static_cast<FlowIndex>(i));
+    path_begin_[i] = static_cast<std::uint32_t>(total);
+    total += set.flow(static_cast<FlowIndex>(i)).path().size();
+  }
+  TFA_EXPECTS(total <= std::numeric_limits<std::uint32_t>::max());
+  path_begin_[n] = static_cast<std::uint32_t>(total);
+
+  // One key per visit, node id in the high word and the flow-major entry
+  // in the low word: sorted, the keys group the visits by node, in flow
+  // order inside each node.
+  std::vector<std::uint64_t> keys(total);
+  std::vector<FlowIndex> owner(total);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const NodeId> nodes =
+        set.flow(static_cast<FlowIndex>(i)).path().nodes();
+    for (std::size_t k = 0; k < nodes.size(); ++k) {
+      const std::size_t e = path_begin_[i] + k;
+      keys[e] = static_cast<std::uint64_t>(nodes[k]) << 32 | e;
+      owner[e] = static_cast<FlowIndex>(i);
+    }
+  }
+  std::sort(keys.begin(), keys.end());
+
+  path_slot_.resize(total);
+  visits_.resize(total);
+  visit_begin_.clear();
+  for (std::size_t r = 0; r < total; ++r) {
+    if (r == 0 || keys[r] >> 32 != keys[r - 1] >> 32)
+      visit_begin_.push_back(static_cast<std::uint32_t>(r));
+    const auto e = static_cast<std::uint32_t>(keys[r]);
+    const FlowIndex f = owner[e];
+    const std::uint32_t pos = e - path_begin_[static_cast<std::size_t>(f)];
+    path_slot_[e] = static_cast<std::uint32_t>(visit_begin_.size() - 1);
+    visits_[r] = {f, pos, set.flow(f).cost_at_position(pos)};
+  }
+  visit_begin_.push_back(static_cast<std::uint32_t>(total));
+}
+
+std::span<const std::uint32_t> Incidence::slots(FlowIndex i) const {
+  TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < flow_count());
+  const auto iu = static_cast<std::size_t>(i);
+  return std::span<const std::uint32_t>(path_slot_)
+      .subspan(path_begin_[iu], path_begin_[iu + 1] - path_begin_[iu]);
+}
+
+std::size_t Incidence::entry(FlowIndex i, std::size_t pos) const {
+  TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < flow_count());
+  const auto iu = static_cast<std::size_t>(i);
+  TFA_EXPECTS(pos < path_begin_[iu + 1] - path_begin_[iu]);
+  return path_begin_[iu] + pos;
+}
+
+std::span<const Visit> Incidence::visitors(std::uint32_t slot) const {
+  TFA_EXPECTS(slot < slot_count());
+  return std::span<const Visit>(visits_).subspan(
+      visit_begin_[slot], visit_begin_[slot + 1] - visit_begin_[slot]);
+}
+
+FlowSetGeometry::FlowSetGeometry(const FlowSet& set)
+    : set_(&set), incidence_(set) {
+  const std::size_t n = set.size();
+  smin_.resize(incidence_.entry_count());
+  interferers_.resize(n);
+  std::vector<FlowIndex> merged;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto fi = static_cast<FlowIndex>(i);
+    const SporadicFlow& f = set.flow(fi);
     const Path& p = f.path();
-    smin_[i].resize(p.size());
+    const std::span<const std::uint32_t> slots = incidence_.slots(fi);
+    std::vector<FlowIndex>& nbrs = interferers_[i];
     Duration s = 0;
     for (std::size_t k = 0; k < p.size(); ++k) {
       const NodeId h = p.at(k);
-      TFA_EXPECTS(static_cast<std::size_t>(h) < node_count);
-      pos_[i][static_cast<std::size_t>(h)] = static_cast<std::ptrdiff_t>(k);
+      TFA_EXPECTS(set.network().contains(h));
       // Smin over the strict prefix: C_i plus Lmin of every earlier hop.
-      smin_[i][k] = s;
+      smin_[incidence_.entry(fi, k)] = s;
       if (k + 1 < p.size())
         s += f.cost_at_position(k) + set.network().link_lmin(h, p.at(k + 1));
-    }
-  }
-
-  full_pairs_.resize(n * n);
-  full_interferers_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto fi = static_cast<FlowIndex>(i);
-    const std::size_t len = set.flow(fi).path().size();
-    for (std::size_t j = 0; j < n; ++j) {
-      const auto fj = static_cast<FlowIndex>(j);
-      full_pairs_[i * n + j] = compute_pair(fi, fj, len);
-      if (i != j && full_pairs_[i * n + j].intersects)
-        full_interferers_[i].push_back(fj);
+      // Merge the node's visitors (in flow order) into the interferers
+      // found so far: the list stays ascending and duplicate-free.
+      merged.clear();
+      auto it = nbrs.begin();
+      for (const Visit& v : incidence_.visitors(slots[k])) {
+        if (v.flow == fi) continue;
+        while (it != nbrs.end() && *it < v.flow) merged.push_back(*it++);
+        if (it != nbrs.end() && *it == v.flow) ++it;
+        merged.push_back(v.flow);
+      }
+      merged.insert(merged.end(), it, nbrs.end());
+      nbrs.swap(merged);
     }
   }
 }
 
 std::ptrdiff_t FlowSetGeometry::position(FlowIndex i, NodeId node) const {
-  TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < pos_.size());
-  TFA_EXPECTS(node >= 0 &&
-              static_cast<std::size_t>(node) < pos_[static_cast<std::size_t>(i)].size());
-  return pos_[static_cast<std::size_t>(i)][static_cast<std::size_t>(node)];
+  TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < set_->size());
+  TFA_EXPECTS(set_->network().contains(node));
+  return set_->flow(i).path().index_of(node);
 }
 
-PairGeometry FlowSetGeometry::compute_pair(FlowIndex i, FlowIndex j,
-                                           std::size_t prefix_i) const {
+PairGeometry FlowSetGeometry::pair(FlowIndex i, FlowIndex j,
+                                   std::size_t prefix_i) const {
   const SporadicFlow& fi = set_->flow(i);
   const SporadicFlow& fj = set_->flow(j);
   TFA_EXPECTS(prefix_i >= 1 && prefix_i <= fi.path().size());
@@ -88,26 +148,12 @@ PairGeometry FlowSetGeometry::compute_pair(FlowIndex i, FlowIndex j,
   return g;
 }
 
-PairGeometry FlowSetGeometry::pair(FlowIndex i, FlowIndex j,
-                                   std::size_t prefix_i) const {
-  const std::size_t len = set_->flow(i).path().size();
-  if (prefix_i == len) return pair(i, j);
-  return compute_pair(i, j, prefix_i);
-}
-
-const PairGeometry& FlowSetGeometry::pair(FlowIndex i, FlowIndex j) const {
-  const std::size_t n = set_->size();
-  TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < n);
-  TFA_EXPECTS(j >= 0 && static_cast<std::size_t>(j) < n);
-  return full_pairs_[static_cast<std::size_t>(i) * n +
-                     static_cast<std::size_t>(j)];
+PairGeometry FlowSetGeometry::pair(FlowIndex i, FlowIndex j) const {
+  return pair(i, j, set_->flow(i).path().size());
 }
 
 Duration FlowSetGeometry::smin(FlowIndex i, std::size_t pos) const {
-  TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < smin_.size());
-  const std::vector<Duration>& row = smin_[static_cast<std::size_t>(i)];
-  TFA_EXPECTS(pos < row.size());
-  return row[pos];
+  return smin_[incidence_.entry(i, pos)];
 }
 
 Duration FlowSetGeometry::m_term(FlowIndex i, std::size_t pos,
@@ -164,24 +210,98 @@ Duration FlowSetGeometry::max_joiner_cost(FlowIndex i, std::size_t pos,
   return mx;
 }
 
-std::vector<FlowIndex> FlowSetGeometry::interferers(FlowIndex i,
-                                                    std::size_t prefix_i) const {
-  const std::size_t len = set_->flow(i).path().size();
-  if (prefix_i == len) return full_interferers_[static_cast<std::size_t>(i)];
-  std::vector<FlowIndex> out;
-  const std::size_t n = set_->size();
-  for (std::size_t j = 0; j < n; ++j) {
-    const auto fj = static_cast<FlowIndex>(j);
-    if (fj == i) continue;
-    if (pair(i, fj, prefix_i).intersects) out.push_back(fj);
-  }
-  return out;
+const std::vector<FlowIndex>& FlowSetGeometry::interferers(FlowIndex i) const {
+  TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < interferers_.size());
+  return interferers_[static_cast<std::size_t>(i)];
 }
 
-const std::vector<FlowIndex>& FlowSetGeometry::interferers(FlowIndex i) const {
-  TFA_EXPECTS(i >= 0 &&
-              static_cast<std::size_t>(i) < full_interferers_.size());
-  return full_interferers_[static_cast<std::size_t>(i)];
+void PrefixWalk::start(const FlowSetGeometry& geo, FlowIndex i) {
+  for (const FlowIndex j : flows_) local_[static_cast<std::size_t>(j)] = -1;
+  geo_ = &geo;
+  prefix_ = 0;
+  const std::vector<FlowIndex>& nbrs = geo.interferers(i);
+  flows_.assign(1, i);
+  flows_.insert(flows_.end(), nbrs.begin(), nbrs.end());
+  meets_.assign(flows_.size(), PrefixMeet{});
+  if (local_.size() < geo.flow_count()) local_.resize(geo.flow_count(), -1);
+  for (std::size_t x = 0; x < flows_.size(); ++x)
+    local_[static_cast<std::size_t>(flows_[x])] = static_cast<std::int32_t>(x);
+}
+
+bool PrefixWalk::extend() {
+  const std::span<const std::uint32_t> slots = geo_->incidence().slots(flows_[0]);
+  TFA_EXPECTS(prefix_ < slots.size());
+  const auto p = static_cast<std::uint32_t>(prefix_++);
+  bool turned = false;
+  for (const Visit& v : geo_->incidence().visitors(slots[p])) {
+    PrefixMeet& m = meets_[static_cast<std::size_t>(
+        local_[static_cast<std::size_t>(v.flow)])];
+    if (!m.met) {
+      m = {.met = true,
+           .first_pj = v.pos,
+           .first_pi = p,
+           .last_pj = v.pos,
+           .entry_pi = p,
+           .entry_pj = v.pos,
+           .exit_pi = p,
+           .slow_pj = v.pos,
+           .c_slow = v.cost};
+      continue;
+    }
+    if (v.pos < m.first_pj) {
+      turned = turned || m.same_direction();
+      m.first_pj = v.pos;
+      m.first_pi = p;
+    }
+    m.last_pj = std::max(m.last_pj, v.pos);
+    m.exit_pi = p;
+    if (v.cost > m.c_slow || (v.cost == m.c_slow && v.pos < m.slow_pj)) {
+      m.c_slow = v.cost;
+      m.slow_pj = v.pos;
+    }
+  }
+  return turned;
+}
+
+const PrefixMeet& PrefixWalk::meet_of(FlowIndex j) const {
+  TFA_EXPECTS(j >= 0 && static_cast<std::size_t>(j) < local_.size());
+  const std::int32_t x = local_[static_cast<std::size_t>(j)];
+  TFA_EXPECTS(x >= 0);
+  return meets_[static_cast<std::size_t>(x)];
+}
+
+PairGeometry PrefixWalk::pair(std::size_t x) const {
+  const PrefixMeet& m = meets_[x];
+  PairGeometry g;
+  if (!m.met) return g;
+  const Path& pi = geo_->flow_set().flow(flows_[0]).path();
+  const Path& pj = geo_->flow_set().flow(flows_[x]).path();
+  g.intersects = true;
+  g.first_ji = pj.at(m.first_pj);
+  g.last_ji = pj.at(m.last_pj);
+  g.first_ij = pi.at(m.entry_pi);
+  g.last_ij = pi.at(m.exit_pi);
+  g.same_direction = m.same_direction();
+  g.slow_ji = pj.at(m.slow_pj);
+  g.c_slow_ji = m.c_slow;
+  return g;
+}
+
+PrefixWalk::JoinerCosts PrefixWalk::joiner_costs(
+    std::size_t pos, const std::vector<bool>& mask) const {
+  TFA_EXPECTS(pos < prefix_);
+  const Incidence& index = geo_->incidence();
+  Duration mx = 0;
+  Duration mn = std::numeric_limits<Duration>::max();
+  for (const Visit& v : index.visitors(index.slots(flows_[0])[pos])) {
+    if (!mask[static_cast<std::size_t>(v.flow)] ||
+        !meet_of(v.flow).same_direction())
+      continue;
+    mx = std::max(mx, v.cost);
+    mn = std::min(mn, v.cost);
+  }
+  TFA_ASSERT(mn != std::numeric_limits<Duration>::max());  // tau_i is in
+  return {mn, mx};
 }
 
 }  // namespace tfa::model

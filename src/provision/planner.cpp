@@ -17,7 +17,10 @@ namespace {
 std::string rational_text(const netcalc::Rational& r) {
   if (r.num() >= kInfiniteDuration) return "unbounded";
   std::string out = std::to_string(r.num());
-  if (r.den() != 1) out += "/" + std::to_string(r.den());
+  if (r.den() != 1) {
+    out += '/';
+    out += std::to_string(r.den());
+  }
   return out;
 }
 

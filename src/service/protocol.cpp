@@ -101,11 +101,15 @@ const std::string* string_field(const JsonValue& doc, std::string_view key,
                                 std::string* why) {
   const JsonValue* v = doc.find(key);
   if (v == nullptr) {
-    *why = "'" + std::string(key) + "' is required";
+    *why = '\'';
+    *why += key;
+    *why += "' is required";
     return nullptr;
   }
   if (v->kind != JsonValue::Kind::kString) {
-    *why = "'" + std::string(key) + "' must be a string";
+    *why = '\'';
+    *why += key;
+    *why += "' must be a string";
     return nullptr;
   }
   return &v->string;

@@ -323,7 +323,6 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles)
 Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
                const EngineOptions& opts)
     : set_(set), cfg_(cfg) {
-  TFA_EXPECTS(model::satisfies_assumption1(set));
   workers_ = cfg_.workers == 0 ? default_worker_count() : cfg_.workers;
 
   const std::size_t n = set.size();
@@ -338,6 +337,7 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
   const auto build_start = std::chrono::steady_clock::now();
   obs::Span build_span = obs::span(tel, "trajectory.build");
   geometry_ = model::FlowSetGeometry(set);
+  TFA_EXPECTS(model::satisfies_assumption1(geometry_.incidence()));
   mask_ = std::move(roles.same);
   hp_mask_ = std::move(roles.higher);
   higher_smax_ = std::move(roles.higher_smax);
@@ -500,6 +500,8 @@ Duration Engine::smax(FlowIndex i, std::size_t pos) const {
 
 void Engine::build_prefix_contexts() {
   const std::size_t n = set_.size();
+  const model::Network& net = set_.network();
+  const model::Incidence& index = geometry_.incidence();
   prefix_ctx_.resize(n);
 
   // ---- Lemma-3 keys.  B^slow of prefix (i, k) is the fixed point of an
@@ -512,32 +514,124 @@ void Engine::build_prefix_contexts() {
   // representative prefix are the same for every worker count without
   // a lock.
   struct BusyKey {
-    std::vector<NodeId> nodes;  ///< The prefix's node set, sorted.
+    std::vector<std::uint32_t> nodes;  ///< The node set as sorted slots.
     Duration delta = 0;
     std::size_t flow = 0;
     std::size_t prefix = 0;
   };
   std::vector<std::vector<BusyKey>> keys(n);
+
+  // ---- One walk of P_i per analysable flow (docs/math.md, "Prefix
+  // geometry from one walk").  Each step appends a node to the prefix
+  // and folds its visits into the running pair geometry of every flow
+  // meeting P_i; everything below then reads that state.  The per-node
+  // quantities of the positions already in the prefix only change when
+  // some flow turns to reverse direction, so only then are they refolded.
+  // Every Smax-free input of prefix_bound() is computed here, so each
+  // Jacobi pass and the extraction reread it instead of recomputing.
   parallel_for(
       n,
       [&](std::size_t iu) {
         if (!mask_[iu]) return;
         const auto i = static_cast<FlowIndex>(iu);
-        const std::span<const NodeId> path = set_.flow(i).path().nodes();
-        prefix_ctx_[iu].resize(path.size());
-        keys[iu].resize(path.size());
-        for (std::size_t prefix = 1; prefix <= path.size(); ++prefix) {
-          BusyKey& key = keys[iu][prefix - 1];
-          key.nodes.assign(path.begin(),
-                           path.begin() + static_cast<std::ptrdiff_t>(prefix));
-          std::sort(key.nodes.begin(), key.nodes.end());
+        const model::SporadicFlow& fi = set_.flow(i);
+        const model::Path& path = fi.path();
+        const std::size_t len = path.size();
+        const std::span<const std::uint32_t> slots = index.slots(i);
+        // Per-thread: the walk's flow map is sized by the set, so one walk
+        // serves every flow a thread builds.
+        thread_local model::PrefixWalk walk;
+        walk.start(geometry_, i);
+
+        // Candidate interferers: every flow meeting P_i with an analysed
+        // role, in ascending index order — the order the terms are pushed
+        // in, which the saturating fold's early exits depend on.  Tracked
+        // index 0 is tau_i itself.
+        std::vector<std::size_t> cand;
+        for (std::size_t x = 1; x < walk.tracked(); ++x) {
+          const auto ju = static_cast<std::size_t>(walk.flow(x));
+          if (mask_[ju] || hp_mask_[ju]) cand.push_back(x);
+        }
+
+        // Per position q of the prefix: the same-direction joiner max/min
+        // over the aggregate, Lemma 4's blocking, and M_i^{P_i[q]} as a
+        // cumulative sum (paper Section 2.2), each hop charged its own
+        // link's Lmin.
+        std::vector<Duration> max_at(len);
+        std::vector<Duration> min_at(len);
+        std::vector<Duration> blocking(len, 0);
+        std::vector<Duration> m_cum(len, 0);
+        std::vector<std::uint32_t> node_set;
+        Duration lmax_sum = 0;
+        prefix_ctx_[iu].resize(len);
+        keys[iu].resize(len);
+        for (std::size_t prefix = 1; prefix <= len; ++prefix) {
+          const std::size_t p = prefix - 1;
+          const bool turned = walk.extend();
+          for (std::size_t q = turned ? 0 : p; q <= p; ++q) {
+            const model::PrefixWalk::JoinerCosts c =
+                walk.joiner_costs(q, mask_);
+            max_at[q] = c.max;
+            min_at[q] = c.min;
+            if (delta_enabled_)
+              blocking[q] = blocking_at(walk, q, non_blockers_);
+          }
+          for (std::size_t q = turned ? 1 : std::max<std::size_t>(p, 1);
+               q <= p; ++q)
+            m_cum[q] = m_cum[q - 1] + min_at[q - 1] +
+                       net.link_lmin(path.at(q - 1), path.at(q));
+          if (p > 0) lmax_sum += net.link_lmax(path.at(p - 1), path.at(p));
+
           // Non-preemption delay (Property 3 / FP-FIFO): it reads tau_i's
           // own costs, so it is part of the key.
-          key.delta = delta_enabled_ ? non_preemption_delay(
-                                           geometry_, i, prefix, non_blockers_)
-                                     : 0;
-          key.flow = iu;
-          key.prefix = prefix;
+          Duration delta = 0;
+          if (delta_enabled_)
+            for (std::size_t q = 0; q <= p; ++q)
+              delta = sat_add(delta, pos_part(blocking[q]));
+          node_set.insert(
+              std::upper_bound(node_set.begin(), node_set.end(), slots[p]),
+              slots[p]);
+          keys[iu][p] = {node_set, delta, iu, prefix};
+
+          // ---- Constant part of W: the third, fourth and fifth terms.
+          // Summed wide: only prefixes whose busy period converges are
+          // ever evaluated, and a divergent one's sum may leave int64.
+          PrefixContext& ctx = prefix_ctx_[iu][p];
+          const model::PrefixMeet& own = walk.meet(0);
+          ctx.own_cost = own.c_slow;
+          ctx.c_last = fi.cost_at_position(p);
+          WideSum constant = static_cast<WideSum>(lmax_sum) - ctx.c_last;
+          for (std::size_t q = 0; q <= p; ++q)
+            if (q != own.slow_pj) constant += max_at[q];
+          constant += delta;
+          ctx.constant =
+              constant > std::numeric_limits<Duration>::max()
+                  ? kInfiniteDuration
+                  : static_cast<Duration>(constant);
+
+          // ---- Static part of every interference term (Lemma 2), in
+          // candidate order — prefix_bound() folds the live Smax reads on
+          // top without reordering anything.
+          std::size_t met = 0;
+          for (const std::size_t x : cand)
+            if (walk.meet(x).met) ++met;
+          ctx.terms.reserve(met);
+          for (const std::size_t x : cand) {
+            const model::PrefixMeet& g = walk.meet(x);
+            if (!g.met) continue;
+            const FlowIndex j = walk.flow(x);
+            const auto ju = static_cast<std::size_t>(j);
+            TermStatic ts;
+            ts.ju = static_cast<std::uint32_t>(ju);
+            ts.pos_i_fji = g.first_pi;
+            ts.pos_j_fij = g.entry_pj;
+            ts.hp = !mask_[ju];
+            ts.period = flow_period_[ju];
+            ts.cost = g.c_slow;
+            ts.smin_v = geometry_.smin(j, g.first_pj);
+            ts.m_cum_v = m_cum[g.entry_pi];
+            ctx.terms.push_back(ts);
+          }
         }
       },
       workers_);
@@ -565,30 +659,24 @@ void Engine::build_prefix_contexts() {
   // drain the blocking work too, and at aggregate utilisation 1 a
   // positive delta correctly makes B diverge (B = delta + B has no finite
   // solution) instead of converging to a spurious small fixed point that
-  // undercuts the simulator.  The representative's terms come in its own
-  // candidate order; the seed fold and BusyBatch::apply are
-  // order-insensitive (docs/math.md, "Plain-sum + clamp equivalence"), so
-  // every prefix sharing the key gets the same iterates.
+  // undercuts the simulator.  The operator's terms are the
+  // representative's own term and interference terms, in its candidate
+  // order; the seed fold and BusyBatch::apply are order-insensitive
+  // (docs/math.md, "Plain-sum + clamp equivalence"), so every prefix
+  // sharing the key gets the same iterates.
   busy_solves_.resize(reps.size());
   parallel_for(
       reps.size(),
       [&](std::size_t s) {
         const BusyKey& key = *reps[s];
-        const auto i = static_cast<FlowIndex>(key.flow);
+        const PrefixContext& rep = prefix_ctx_[key.flow][key.prefix - 1];
         BusySolve& bs = busy_solves_[s];
         bs.delta = key.delta;
-        Duration seed = key.delta;
-        const auto add = [&](FlowIndex j) {
-          const model::PairGeometry g = geometry_.pair(i, j, key.prefix);
-          seed = sat_add(seed, g.c_slow_ji);  // incl. j == i
-          if (g.intersects)
-            bs.busy.push(flow_period_[static_cast<std::size_t>(j)],
-                         g.c_slow_ji);
-        };
-        add(i);
-        for (const FlowIndex j : geometry_.interferers(i)) {
-          const auto ju = static_cast<std::size_t>(j);
-          if (mask_[ju] || hp_mask_[ju]) add(j);
+        Duration seed = sat_add(key.delta, rep.own_cost);
+        bs.busy.push(flow_period_[key.flow], rep.own_cost);
+        for (const TermStatic& ts : rep.terms) {
+          seed = sat_add(seed, ts.cost);
+          bs.busy.push(ts.period, ts.cost);
         }
         bs.seed = seed;
         const FixedPointResult bp = iterate_fixed_point(
@@ -597,131 +685,6 @@ void Engine::build_prefix_contexts() {
         bs.iterations = bp.iterations;
         bs.converged = bp.converged();
         if (bs.converged) bs.busy_period = bp.value;
-      },
-      workers_);
-
-  // ---- Everything else, per (flow, prefix); rows are disjoint.
-  parallel_for(
-      n,
-      [&](std::size_t iu) {
-        if (!mask_[iu]) return;
-        const auto i = static_cast<FlowIndex>(iu);
-        const model::SporadicFlow& fi = set_.flow(i);
-        const std::size_t len = fi.path().size();
-        const std::vector<FlowIndex>& nbrs = geometry_.interferers(i);
-
-        std::vector<std::size_t> cand;
-        std::vector<model::PairGeometry> pg;
-        std::size_t slow_pos = 0;  // first maximum of the prefix's costs
-        for (std::size_t prefix = 1; prefix <= len; ++prefix) {
-          if (fi.cost_at_position(prefix - 1) > fi.cost_at_position(slow_pos))
-            slow_pos = prefix - 1;
-          PrefixContext& ctx = prefix_ctx_[iu][prefix - 1];
-          const BusySolve& bs = busy_solves_[ctx.busy];
-          // Divergent busy period: prefix_bound() returns before touching
-          // anything below, so nothing below is computed.
-          if (!bs.converged) continue;
-
-          // ---- Pairwise geometry vs. this prefix, restricted to the
-          // candidate interferers: tau_i itself plus every full-path
-          // interferer with an analysed role.  A flow outside the
-          // full-path interferer list meets no prefix of P_i either, so
-          // its pair geometry is the empty default (intersects = false,
-          // c_slow_ji = 0) and every sum below is unchanged by skipping
-          // it: the saturating folds are insensitive to zero terms and to
-          // term order (docs/math.md, "Plain-sum + clamp equivalence").
-          cand.clear();
-          pg.clear();
-          cand.reserve(nbrs.size() + 1);
-          pg.reserve(nbrs.size() + 1);
-          cand.push_back(iu);
-          pg.push_back(geometry_.pair(i, i, prefix));
-          for (const FlowIndex j : nbrs) {
-            const auto ju = static_cast<std::size_t>(j);
-            if (!mask_[ju] && !hp_mask_[ju]) continue;
-            cand.push_back(ju);
-            pg.push_back(geometry_.pair(i, j, prefix));
-          }
-          const std::size_t m = cand.size();
-
-          // ---- Per-position same-direction joiner min/max over the
-          // aggregate.
-          std::vector<Duration> max_at(prefix, 0);
-          std::vector<Duration> min_at(prefix, 0);
-          for (std::size_t pos = 0; pos < prefix; ++pos) {
-            const NodeId h = fi.path().at(pos);
-            Duration mx = 0;
-            Duration mn = kInfiniteDuration;
-            for (std::size_t x = 0; x < m; ++x) {
-              const std::size_t ju = cand[x];
-              if (!mask_[ju] || !pg[x].intersects || !pg[x].same_direction)
-                continue;
-              const auto fj = static_cast<FlowIndex>(ju);
-              const std::ptrdiff_t pj = geometry_.position(fj, h);
-              if (pj < 0) continue;
-              const Duration c =
-                  set_.flow(fj).cost_at_position(static_cast<std::size_t>(pj));
-              mx = std::max(mx, c);
-              mn = std::min(mn, c);
-            }
-            TFA_ASSERT(mn != kInfiniteDuration);  // tau_i always qualifies
-            max_at[pos] = mx;
-            min_at[pos] = mn;
-          }
-
-          // M_i^{P_i[pos]} as a cumulative sum (paper Section 2.2), each
-          // hop charged its own link's Lmin.  Only entries below `prefix`
-          // are read (pos_i_fij < prefix), so the last hop's link — which
-          // leaves the prefix — is never needed.
-          std::vector<Duration> m_cum(prefix, 0);
-          for (std::size_t pos = 0; pos + 1 < prefix; ++pos)
-            m_cum[pos + 1] =
-                m_cum[pos] + min_at[pos] +
-                set_.network().link_lmin(fi.path().at(pos),
-                                         fi.path().at(pos + 1));
-
-          // ---- Constant part of W: the third, fourth and fifth terms.
-          ctx.own_cost = pg[0].c_slow_ji;
-          ctx.c_last = fi.cost_at_position(prefix - 1);
-          Duration constant =
-              -ctx.c_last + set_.network().path_lmax_sum(fi.path(), prefix - 1);
-          for (std::size_t pos = 0; pos < prefix; ++pos)
-            if (pos != slow_pos) constant += max_at[pos];
-          if (delta_enabled_) constant += bs.delta;
-          ctx.constant = constant;
-
-          // ---- Static part of every interference term (Lemma 2), in
-          // candidate order — prefix_bound() folds the live Smax reads on
-          // top without reordering anything.
-          ctx.terms.reserve(m > 0 ? m - 1 : 0);
-          for (std::size_t x = 1; x < m; ++x) {
-            if (!pg[x].intersects) continue;
-            const std::size_t ju = cand[x];
-            const auto fj = static_cast<FlowIndex>(ju);
-            const model::PairGeometry& g = pg[x];
-
-            const auto pos_i_fji =
-                static_cast<std::size_t>(geometry_.position(i, g.first_ji));
-            const auto pos_j_fji =
-                static_cast<std::size_t>(geometry_.position(fj, g.first_ji));
-            const auto pos_i_fij =
-                static_cast<std::size_t>(geometry_.position(i, g.first_ij));
-            const auto pos_j_fij =
-                static_cast<std::size_t>(geometry_.position(fj, g.first_ij));
-            TFA_ASSERT(pos_i_fji < prefix && pos_i_fij < prefix);
-
-            TermStatic ts;
-            ts.ju = static_cast<std::uint32_t>(ju);
-            ts.pos_i_fji = static_cast<std::uint32_t>(pos_i_fji);
-            ts.pos_j_fij = static_cast<std::uint32_t>(pos_j_fij);
-            ts.hp = !mask_[ju];
-            ts.period = flow_period_[ju];
-            ts.cost = g.c_slow_ji;
-            ts.smin_v = geometry_.smin(fj, pos_j_fji);
-            ts.m_cum_v = m_cum[pos_i_fij];
-            ctx.terms.push_back(ts);
-          }
-        }
       },
       workers_);
 }

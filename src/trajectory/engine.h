@@ -211,8 +211,8 @@ class Engine {
   /// bit for bit.
   struct TermStatic {
     std::uint32_t ju = 0;         ///< Interfering flow index.
-    std::uint32_t pos_i_fji = 0;  ///< position(i, first_ji) — Smax_i read.
-    std::uint32_t pos_j_fij = 0;  ///< position(j, first_ij) — Smax_j read.
+    std::uint32_t pos_i_fji = 0;  ///< P_i position of first_ji — Smax_i read.
+    std::uint32_t pos_j_fij = 0;  ///< P_j position of first_ij — Smax_j read.
     bool hp = false;              ///< Higher-priority (FP/FIFO) term.
     Duration period = 0;          ///< T_j.
     Duration cost = 0;            ///< C_j^{slow_{j,i}}.
@@ -242,8 +242,9 @@ class Engine {
   /// operator is Smax-free, so the solution — and its iteration count —
   /// is a constant of the run), the per-position joiner min/max folded
   /// into `constant`, and the static part of every interference term.
-  /// Built once at construction; every Jacobi pass and the extraction
-  /// reread it instead of recomputing.
+  /// Built once at construction, from one PrefixWalk of P_i per flow;
+  /// every Jacobi pass and the extraction reread it instead of
+  /// recomputing.
   struct PrefixContext {
     std::size_t busy = 0;         ///< Index into busy_solves_.
     Duration constant = 0;        ///< W's t-independent terms (incl. delta).

@@ -40,9 +40,9 @@ struct EngineStats {
   /// validity check (both 0 when the cache was empty, as in analyze()).
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  /// Wall time building the engine before the fixed point (geometry,
-  /// Smax seed, static prefix contexts and their Lemma-3 solves),
-  /// nanoseconds.
+  /// Wall time building the engine before the fixed point (geometry and
+  /// its Assumption-1 check, Smax seed, static prefix contexts and their
+  /// Lemma-3 solves), nanoseconds.
   std::int64_t build_ns = 0;
   /// Wall time solving the global Smax fixed point, nanoseconds.
   std::int64_t fixed_point_ns = 0;

@@ -1,6 +1,8 @@
 // Tests of the sensitivity / capacity-planning helpers.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "admission/sensitivity.h"
 #include "model/paper_example.h"
 #include "trajectory/analysis.h"
@@ -114,10 +116,13 @@ TEST(Sensitivity, MaxClonesCountsAdmissibleCopies) {
   EXPECT_LE(clones, 20u);
   // Exactness: clones pass, clones+1 fail.
   FlowSet grown = set;
-  for (std::size_t k = 0; k < clones; ++k)
-    grown.add(SporadicFlow("p" + std::to_string(k), probe.path(),
-                           probe.period(), probe.costs(), probe.jitter(),
-                           probe.deadline(), probe.service_class()));
+  for (std::size_t k = 0; k < clones; ++k) {
+    std::string name("p");
+    name += std::to_string(k);
+    grown.add(SporadicFlow(name, probe.path(), probe.period(), probe.costs(),
+                           probe.jitter(), probe.deadline(),
+                           probe.service_class()));
+  }
   EXPECT_TRUE(trajectory::analyze(grown).all_schedulable);
   grown.add(SporadicFlow("one-too-many", probe.path(), probe.period(),
                          probe.costs(), probe.jitter(), probe.deadline(),

@@ -1,6 +1,8 @@
 // Tests of the end-to-end network-calculus analysis.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "base/rng.h"
 #include "model/generators.h"
 #include "model/paper_example.h"
@@ -92,9 +94,11 @@ TEST(NetCalc, MoreInterferenceMeansLargerBound) {
   auto bound_with_flows = [](int extra) {
     FlowSet set(Network(2, 1, 1));
     set.add(SporadicFlow("f", Path{0, 1}, 100, 4, 0, 10000));
-    for (int k = 0; k < extra; ++k)
-      set.add(SporadicFlow("x" + std::to_string(k), Path{0, 1}, 100, 4, 0,
-                           10000));
+    for (int k = 0; k < extra; ++k) {
+      std::string name("x");
+      name += std::to_string(k);
+      set.add(SporadicFlow(name, Path{0, 1}, 100, 4, 0, 10000));
+    }
     const Result r = analyze(set);
     return r.bounds[0].response;
   };

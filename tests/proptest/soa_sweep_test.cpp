@@ -143,10 +143,12 @@ FlowSet cluster_set(std::int32_t clusters, std::int32_t flows) {
                        (i % kNodes + 1 + (i / kNodes) % (kNodes - 1)) % kNodes;
       const Duration period = 64 + 8 * ((i + c) % 8);
       const Duration jitter = 25 * period + 16 * ((i + c) % 5);
-      set.add(model::SporadicFlow(
-          "c" + std::to_string(c) + "_f" + std::to_string(i),
-          model::Path{a, b}, period, /*cost=*/1, jitter,
-          /*deadline=*/100'000));
+      std::string name("c");
+      name += std::to_string(c);
+      name += "_f";
+      name += std::to_string(i);
+      set.add(model::SporadicFlow(name, model::Path{a, b}, period, /*cost=*/1,
+                                  jitter, /*deadline=*/100'000));
     }
   }
   return set;

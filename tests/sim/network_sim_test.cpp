@@ -2,6 +2,8 @@
 // scenarios.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "model/paper_example.h"
 #include "sim/network_sim.h"
 
@@ -103,8 +105,11 @@ TEST(NetworkSim, DeterministicForSameSeed) {
 
 TEST(NetworkSim, QueueDepthObservedUnderContention) {
   FlowSet set(Network(1, 1, 1));
-  for (int k = 0; k < 5; ++k)
-    set.add(SporadicFlow("f" + std::to_string(k), Path{0}, 100, 4, 0, 1000));
+  for (int k = 0; k < 5; ++k) {
+    std::string name("f");
+    name += std::to_string(k);
+    set.add(SporadicFlow(name, Path{0}, 100, 4, 0, 1000));
+  }
   NetworkSim sim(set, quiet());
   sim.run();
   // Five simultaneous arrivals: all five pass through the queue before

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <random>
 #include <string>
@@ -504,6 +505,77 @@ TEST(EngineDeathTest, RequiresAssumption1) {
   set.add(SporadicFlow("i", Path{1, 2, 3, 4, 5}, 100, 4, 0, 400));
   set.add(SporadicFlow("j", Path{0, 2, 6, 4, 7}, 100, 4, 0, 400));
   EXPECT_DEATH(Engine(set, Config{}), "precondition");
+}
+
+TEST(EngineDeathTest, RequiresAssumption1MonotoneOrder) {
+  // No re-entry: tau_j's visits to P_i are one contiguous run of P_j
+  // (and vice versa), but they reverse direction inside it.  Only the
+  // monotonicity half of the Assumption-1 check rejects this set.
+  FlowSet set(Network(4, 1, 1));
+  set.add(SporadicFlow("i", Path{1, 2, 3}, 100, 4, 0, 400));
+  set.add(SporadicFlow("j", Path{1, 3, 2}, 100, 4, 0, 400));
+  EXPECT_DEATH(Engine(set, Config{}), "precondition.*satisfies_assumption1");
+}
+
+/// The same flows on nodes `ids[0..7]` of a network of `node_count`
+/// nodes: forward and reverse crossings, a re-entering flow (split by
+/// the normaliser), EF and best-effort classes and per-link delays.
+FlowSet renumbered_set(std::int32_t node_count,
+                       const std::vector<NodeId>& ids) {
+  Network net(node_count, 1, 3);
+  net.set_link(ids[1], ids[2], 2, 6);
+  net.set_link(ids[3], ids[4], 0, 9);
+  FlowSet set(net);
+  const auto path = [&ids](std::initializer_list<NodeId> nodes) {
+    std::vector<NodeId> out;
+    for (const NodeId h : nodes)
+      out.push_back(ids[static_cast<std::size_t>(h)]);
+    return Path(out);
+  };
+  set.add(SporadicFlow("a", path({0, 1, 2, 3, 4}), 90, {3, 4, 2, 5, 3}, 2,
+                       900));
+  set.add(SporadicFlow("b", path({5, 2, 3, 6}), 70, {2, 6, 6, 1}, 0, 900));
+  set.add(SporadicFlow("c", path({4, 3, 2, 1}), 110, {4, 4, 7, 2}, 5, 900));
+  set.add(SporadicFlow("d", path({7, 1, 6, 3, 0}), 130, 3, 1, 900,
+                       model::ServiceClass::kBestEffort));
+  set.add(SporadicFlow("e", path({1, 2, 7}), 60, {2, 3, 2}, 0, 900));
+  set.add(SporadicFlow("f", path({6, 4}), 150, 8, 0, 900,
+                       model::ServiceClass::kBestEffort));
+  return set;
+}
+
+TEST(Engine, BoundsDoNotDependOnNodeIds) {
+  // Construction is sized by the set, not by the network: the flows on
+  // the top ids of a 200000-node network and on a shuffled 0..7 give
+  // bit-identical bounds, critical instants, per-hop profiles and work.
+  const FlowSet high = renumbered_set(
+      200000, {199992, 199993, 199994, 199995, 199996, 199997, 199998, 199999});
+  const FlowSet low = renumbered_set(8, {5, 0, 7, 2, 6, 1, 4, 3});
+  for (const bool ef : {false, true}) {
+    Config cfg;
+    cfg.ef_mode = ef;
+    const Result a = analyze(high, cfg);
+    const Result b = analyze(low, cfg);
+    EXPECT_GT(a.split_count, 0u);
+    EXPECT_EQ(a.split_count, b.split_count);
+    EXPECT_EQ(a.converged, b.converged);
+    EXPECT_EQ(a.smax_iterations, b.smax_iterations);
+    EXPECT_EQ(a.stats.prefix_bounds, b.stats.prefix_bounds);
+    EXPECT_EQ(a.stats.test_points, b.stats.test_points);
+    EXPECT_EQ(a.stats.busy_period_iterations, b.stats.busy_period_iterations);
+    ASSERT_EQ(a.bounds.size(), b.bounds.size());
+    for (std::size_t k = 0; k < a.bounds.size(); ++k) {
+      SCOPED_TRACE(k);
+      EXPECT_EQ(a.bounds[k].flow, b.bounds[k].flow);
+      EXPECT_EQ(a.bounds[k].response, b.bounds[k].response);
+      EXPECT_EQ(a.bounds[k].busy_period, b.bounds[k].busy_period);
+      EXPECT_EQ(a.bounds[k].delta, b.bounds[k].delta);
+      EXPECT_EQ(a.bounds[k].jitter, b.bounds[k].jitter);
+      EXPECT_EQ(a.bounds[k].critical_instant, b.bounds[k].critical_instant);
+      EXPECT_EQ(a.bounds[k].prefix_responses, b.bounds[k].prefix_responses);
+      EXPECT_FALSE(is_infinite(a.bounds[k].response));
+    }
+  }
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "base/rng.h"
 #include "model/generators.h"
@@ -197,10 +198,11 @@ model::FlowSet clustered_set() {
   model::FlowSet set(model::Network(40, 1, 3));
   for (int c = 0; c < 8; ++c) {
     const NodeId a = 5 * c;
-    set.add(model::SporadicFlow("c" + std::to_string(c) + "x",
-                                model::Path{a, a + 1, a + 2}, 200, 3, 1,
-                                4000));
-    set.add(model::SporadicFlow("c" + std::to_string(c) + "y",
+    std::string name("c");
+    name += std::to_string(c);
+    set.add(model::SporadicFlow(name + "x", model::Path{a, a + 1, a + 2}, 200,
+                                3, 1, 4000));
+    set.add(model::SporadicFlow(name + "y",
                                 model::Path{a + 3, a + 1, a + 2, a + 4}, 300,
                                 5, 0, 4000));
   }
