@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "base/checked.h"
 #include "base/contracts.h"
 #include "model/normalize.h"
 #include "obs/telemetry.h"
@@ -78,90 +77,6 @@ std::uint64_t context_fingerprint(const model::Network& net,
   return h.value();
 }
 
-/// Whether `flow` belongs to the analysed FIFO aggregate under `cfg`
-/// (mirrors the engine's default roles: everyone in Property 2, EF flows
-/// only in Property 3).
-bool analysable_under(const model::SporadicFlow& flow, const Config& cfg) {
-  return !cfg.ef_mode || model::is_ef(flow.service_class());
-}
-
-/// Maps a finished engine's per-segment bounds back onto the original
-/// set's flows (composing Assumption-1 splits).  Per-hop profiles are read
-/// with Engine::prefix_response(); nothing is re-evaluated.
-Result compose(const model::FlowSet& set, const Config& cfg,
-               const model::NormalisationReport& norm, const Engine& engine) {
-  Result result;
-  result.converged = engine.converged();
-  result.smax_iterations = engine.iterations();
-  result.split_count = norm.split_count;
-
-  bool all_ok = true;
-
-  for (std::size_t orig = 0; orig < set.size(); ++orig) {
-    const auto oi = static_cast<FlowIndex>(orig);
-    const model::SporadicFlow& flow = set.flow(oi);
-    if (cfg.ef_mode && !model::is_ef(flow.service_class())) continue;
-
-    const auto& segments = norm.segments[orig];
-    TFA_ASSERT(!segments.empty());
-
-    FlowBound b;
-    b.flow = oi;
-    b.composed = segments.size() > 1;
-
-    // Sum the per-segment trajectory bounds, plus one worst-case link
-    // traversal per junction between consecutive segments.
-    Duration total = 0;
-    bool finite = true;
-    for (std::size_t s = 0; s < segments.size(); ++s) {
-      const PrefixBound& pb = engine.bound(segments[s]);
-      if (!pb.finite() || !engine.converged()) {
-        finite = false;
-        break;
-      }
-      total = sat_add(total, pb.response);
-      if (s + 1 < segments.size()) {
-        // One link traversal between consecutive segments.
-        const model::FlowSet& nfs = norm.flow_set;
-        total = sat_add(total,
-                        set.network().link_lmax(
-                            nfs.flow(segments[s]).path().last(),
-                            nfs.flow(segments[s + 1]).path().first()));
-      }
-      b.delta += pb.delta;
-      if (s == 0) {
-        b.busy_period = pb.busy_period;
-        b.critical_instant = pb.critical_instant;
-      }
-    }
-
-    // A composition that saturated is divergent even if every segment
-    // bound was individually finite.
-    finite = finite && !is_infinite(total);
-    b.response = finite ? total : kInfiniteDuration;
-    b.schedulable = finite && b.response <= flow.deadline();
-    b.jitter = finite
-                   ? b.response - model::best_case_response(set.network(), flow)
-                   : kInfiniteDuration;
-
-    // Per-hop profile (single-segment flows only: prefixes of a composed
-    // flow are not prefixes of the original path).  Read from the run's
-    // last Jacobi pass and extraction, which evaluated every prefix
-    // against the converged table; nothing is recomputed here.
-    if (!b.composed && finite) {
-      const std::size_t len = flow.path().size();
-      b.prefix_responses.reserve(len);
-      for (std::size_t k = 1; k <= len; ++k)
-        b.prefix_responses.push_back(engine.prefix_response(segments[0], k));
-    }
-    all_ok = all_ok && b.schedulable;
-    result.bounds.push_back(b);
-  }
-
-  result.all_schedulable = all_ok && !result.bounds.empty();
-  return result;
-}
-
 }  // namespace
 
 Result run_analysis(const model::FlowSet& set, AnalysisCache& cache,
@@ -211,14 +126,16 @@ Result run_analysis(const model::FlowSet& set, AnalysisCache& cache,
   }
 
   // Seed rows resolved up front so the engine's hook is just a lookup.
+  // Only the aggregate's flows carry Smax rows.
+  EngineRoles roles = default_roles(fs, cfg);
   std::vector<const std::vector<Duration>*> seed(n, nullptr);
   EngineOptions opts;
   opts.stats = &stats;
   opts.telemetry = telemetry;
   if (warm) {
     for (std::size_t i = 0; i < n; ++i) {
+      if (!roles.same[i]) continue;
       const model::SporadicFlow& f = fs.flow(static_cast<FlowIndex>(i));
-      if (!analysable_under(f, cfg)) continue;
       const auto it = cache.rows_.find(f.name());
       if (it != cache.rows_.end() && !it->second.smax.empty()) {
         TFA_ASSERT(it->second.smax.size() == f.path().size());
@@ -235,8 +152,7 @@ Result run_analysis(const model::FlowSet& set, AnalysisCache& cache,
   } else if (!cache.rows_.empty()) {
     // Invalidated: every analysable flow restarts from the cold seed.
     for (std::size_t i = 0; i < n; ++i)
-      if (analysable_under(fs.flow(static_cast<FlowIndex>(i)), cfg))
-        ++stats.cache_misses;
+      if (roles.same[i]) ++stats.cache_misses;
   }
   if (telemetry != nullptr) {
     telemetry->metrics.counter("trajectory.cache_hits") +=
@@ -245,7 +161,7 @@ Result run_analysis(const model::FlowSet& set, AnalysisCache& cache,
         static_cast<std::int64_t>(stats.cache_misses);
   }
 
-  const Engine engine(fs, cfg, opts);
+  const Engine engine(fs, cfg, std::move(roles), opts);
 
   // ---- Refresh the cache with this run's state.  Unconverged tables are
   // cached too: every Kleene iterate from a pre-fixed point is itself a
@@ -270,7 +186,7 @@ Result run_analysis(const model::FlowSet& set, AnalysisCache& cache,
 
   Result result = [&] {
     obs::Span compose_span = obs::span(telemetry, "trajectory.compose");
-    return compose(set, cfg, norm, engine);
+    return compose(set, norm, engine);
   }();
   result.stats = stats;
   return result;

@@ -19,10 +19,6 @@
 
 namespace tfa::trajectory {
 
-namespace {
-
-/// Roles implied by Config::ef_mode: Property 2 (all FIFO, no blockers)
-/// or Property 3 (EF flows FIFO, everything else blocks).
 EngineRoles default_roles(const model::FlowSet& set, const Config& cfg) {
   const std::size_t n = set.size();
   EngineRoles roles;
@@ -39,8 +35,6 @@ EngineRoles default_roles(const model::FlowSet& set, const Config& cfg) {
   }
   return roles;
 }
-
-}  // namespace
 
 namespace {
 
@@ -310,15 +304,9 @@ CandidateSweep sweep_candidates(TermBatch& terms, Time t_begin, Time t_end,
   return sweep;
 }
 
-Engine::Engine(const model::FlowSet& set, const Config& cfg)
-    : Engine(set, cfg, default_roles(set, cfg), EngineOptions{}) {}
-
 Engine::Engine(const model::FlowSet& set, const Config& cfg,
                const EngineOptions& opts)
     : Engine(set, cfg, default_roles(set, cfg), opts) {}
-
-Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles)
-    : Engine(set, cfg, std::move(roles), EngineOptions{}) {}
 
 Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
                const EngineOptions& opts)
@@ -911,6 +899,75 @@ void Engine::run_fixed_point(std::vector<EngineStats>* partials,
     }
   }
   converged_ = false;
+}
+
+Result compose(const model::FlowSet& set,
+               const model::NormalisationReport& norm, const Engine& engine) {
+  Result result;
+  result.converged = engine.converged();
+  result.smax_iterations = engine.iterations();
+  result.split_count = norm.split_count;
+  const model::FlowSet& nfs = norm.flow_set;
+
+  bool all_ok = true;
+  for (std::size_t orig = 0; orig < set.size(); ++orig) {
+    const auto oi = static_cast<FlowIndex>(orig);
+    const model::SporadicFlow& flow = set.flow(oi);
+    const auto& segments = norm.segments[orig];
+    TFA_ASSERT(!segments.empty());
+    if (!engine.analysable(segments.front())) continue;
+
+    FlowBound b;
+    b.flow = oi;
+    b.composed = segments.size() > 1;
+
+    // Sum the per-segment trajectory bounds, plus one worst-case link
+    // traversal per junction between consecutive segments.
+    Duration total = 0;
+    bool finite = engine.converged();
+    for (std::size_t s = 0; s < segments.size() && finite; ++s) {
+      const PrefixBound& pb = engine.bound(segments[s]);
+      if (!pb.finite()) {
+        finite = false;
+        break;
+      }
+      total = sat_add(total, pb.response);
+      if (s + 1 < segments.size())
+        total = sat_add(total, set.network().link_lmax(
+                                   nfs.flow(segments[s]).path().last(),
+                                   nfs.flow(segments[s + 1]).path().first()));
+      b.delta += pb.delta;
+      if (s == 0) {
+        b.busy_period = pb.busy_period;
+        b.critical_instant = pb.critical_instant;
+      }
+    }
+
+    // A composition that saturated is divergent even if every segment
+    // bound was individually finite.
+    finite = finite && !is_infinite(total);
+    b.response = finite ? total : kInfiniteDuration;
+    b.schedulable = finite && b.response <= flow.deadline();
+    b.jitter = finite
+                   ? b.response - model::best_case_response(set.network(), flow)
+                   : kInfiniteDuration;
+
+    // Per-hop profile (single-segment flows only: prefixes of a composed
+    // flow are not prefixes of the original path).  Read from the run's
+    // last Jacobi pass and extraction, which evaluated every prefix
+    // against the converged table; nothing is recomputed here.
+    if (!b.composed && finite) {
+      const std::size_t len = flow.path().size();
+      b.prefix_responses.reserve(len);
+      for (std::size_t k = 1; k <= len; ++k)
+        b.prefix_responses.push_back(engine.prefix_response(segments[0], k));
+    }
+    all_ok = all_ok && b.schedulable;
+    result.bounds.push_back(b);
+  }
+
+  result.all_schedulable = all_ok && !result.bounds.empty();
+  return result;
 }
 
 }  // namespace tfa::trajectory

@@ -77,9 +77,10 @@ struct CandidateSweep {
                                               Duration c_last,
                                               std::size_t budget);
 
-/// Scheduling role of every flow relative to the aggregate under analysis
-/// (used by the FP/FIFO extension; plain Property-2/3 runs derive roles
-/// from Config::ef_mode).
+/// Scheduling role of every flow relative to the aggregate under analysis.
+/// Roles are the only difference between Property 2, Property 3 and the
+/// FP/FIFO extension: default_roles() derives the first two from
+/// Config::ef_mode, analyze_fp_fifo() assigns one set per class.
 struct EngineRoles {
   /// Flows scheduled FIFO inside the analysed aggregate.
   std::vector<bool> same;
@@ -94,6 +95,13 @@ struct EngineRoles {
   /// their own class): (flow, path position) -> Smax.
   std::function<Duration(FlowIndex, std::size_t)> higher_smax;
 };
+
+/// The roles implied by Config::ef_mode, the one place that decides
+/// Property 2/3 membership: Property 2 puts every flow in the FIFO
+/// aggregate; Property 3 puts the EF flows in it and makes every other
+/// flow a Lemma-4 blocker.
+[[nodiscard]] EngineRoles default_roles(const model::FlowSet& set,
+                                        const Config& cfg);
 
 /// Optional hooks of an engine run: instrumentation sink and warm-start
 /// seed (both may be empty).
@@ -128,21 +136,14 @@ struct EngineOptions {
 /// set must satisfy Assumption 1 and outlive the engine.
 class Engine {
  public:
-  /// Builds the engine and runs the global Smax fixed point.  Roles come
-  /// from Config::ef_mode (Property 2: everyone FIFO; Property 3: EF flows
-  /// FIFO, everything else blocking).
-  Engine(const model::FlowSet& set, const Config& cfg);
-
-  /// Default-roles constructor with instrumentation / warm-start hooks.
+  /// Builds the engine and runs the global Smax fixed point, with the
+  /// roles of default_roles(set, cfg).
   Engine(const model::FlowSet& set, const Config& cfg,
-         const EngineOptions& opts);
+         const EngineOptions& opts = {});
 
-  /// Explicit-roles constructor (FP/FIFO extension).
-  Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles);
-
-  /// Explicit everything: roles plus instrumentation / warm-start hooks.
+  /// The same with explicit roles (FP/FIFO extension).
   Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
-         const EngineOptions& opts);
+         const EngineOptions& opts = {});
 
   /// True when the Smax table stabilised within the iteration budget.
   [[nodiscard]] bool converged() const noexcept { return converged_; }
@@ -280,5 +281,17 @@ class Engine {
   bool converged_ = false;
   std::size_t iterations_ = 0;
 };
+
+/// Maps a finished engine's per-segment bounds back onto the original
+/// set's flows: one FlowBound per flow whose first segment the engine
+/// analysed (split segments keep their flow's class, so this is the
+/// engine's role assignment), composing Assumption-1 splits as the sum of
+/// the segment bounds plus one worst-case link per junction.  Per-hop
+/// profiles of single-segment flows are read with
+/// Engine::prefix_response(); nothing is re-evaluated.  Result::stats is
+/// left empty.
+[[nodiscard]] Result compose(const model::FlowSet& set,
+                             const model::NormalisationReport& norm,
+                             const Engine& engine);
 
 }  // namespace tfa::trajectory

@@ -52,18 +52,15 @@ struct FpFifoResult {
   }
 };
 
-/// Analyses every class of `set` top-down.  `cfg.ef_mode` is ignored (the
-/// class structure drives the roles).
-[[nodiscard]] FpFifoResult analyze_fp_fifo(const model::FlowSet& set,
-                                           Config cfg = {});
-
-/// analyze_fp_fifo() with an observability sink: one
-/// "trajectory.fp_fifo" span with a "trajectory.fp_fifo.<class>" child
-/// per analysed class (classes run top-down, so the span order is the
-/// priority order), plus the engine telemetry of every per-class run
-/// accumulated into the registry.
-[[nodiscard]] FpFifoResult analyze_fp_fifo(const model::FlowSet& set,
-                                           Config cfg,
-                                           obs::Telemetry* telemetry);
+/// Analyses every class of `set` top-down; `cfg.ef_mode` is ignored (the
+/// class structure drives the roles).  Each class is one engine run whose
+/// bounds go through the same compose() as analyze()'s.  With a
+/// `telemetry` sink: one "trajectory.fp_fifo" span with a
+/// "trajectory.fp_fifo.<class>" child per analysed class (classes run
+/// top-down, so the span order is the priority order), plus the engine
+/// telemetry of every per-class run accumulated into the registry.
+[[nodiscard]] FpFifoResult analyze_fp_fifo(
+    const model::FlowSet& set, const Config& cfg = {},
+    obs::Telemetry* telemetry = nullptr);
 
 }  // namespace tfa::trajectory

@@ -2,10 +2,15 @@
 // router, validated against the StrictPriorityDiscipline simulation.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "base/rng.h"
 #include "diffserv/strict_priority.h"
 #include "model/generators.h"
 #include "model/paper_example.h"
+#include "obs/telemetry.h"
 #include "sim/worst_case_search.h"
 #include "trajectory/analysis.h"
 #include "trajectory/fp_fifo.h"
@@ -19,16 +24,69 @@ using model::Path;
 using model::ServiceClass;
 using model::SporadicFlow;
 
+/// Every field of two bounds of the same original flow.
+void expect_same_bound(const FlowBound& a, const FlowBound& b) {
+  EXPECT_EQ(a.flow, b.flow);
+  EXPECT_EQ(a.response, b.response) << "flow " << a.flow;
+  EXPECT_EQ(a.busy_period, b.busy_period) << "flow " << a.flow;
+  EXPECT_EQ(a.delta, b.delta) << "flow " << a.flow;
+  EXPECT_EQ(a.jitter, b.jitter) << "flow " << a.flow;
+  EXPECT_EQ(a.critical_instant, b.critical_instant) << "flow " << a.flow;
+  EXPECT_EQ(a.schedulable, b.schedulable) << "flow " << a.flow;
+  EXPECT_EQ(a.composed, b.composed) << "flow " << a.flow;
+  EXPECT_EQ(a.prefix_responses, b.prefix_responses) << "flow " << a.flow;
+}
+
+/// The work counters of two runs (wall times and worker count excluded).
+void expect_same_counters(const EngineStats& a, const EngineStats& b) {
+  EXPECT_EQ(a.smax_passes, b.smax_passes);
+  EXPECT_EQ(a.prefix_bounds, b.prefix_bounds);
+  EXPECT_EQ(a.test_points, b.test_points);
+  EXPECT_EQ(a.busy_period_iterations, b.busy_period_iterations);
+  EXPECT_EQ(a.warm_seeded_entries, b.warm_seeded_entries);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_misses, b.cache_misses);
+}
+
+/// Every FP/FIFO bound against the bound `analyze()` gives the same flow.
+void expect_fp_matches(const FpFifoResult& fp, const Result& ref) {
+  std::size_t count = 0;
+  for (const ClassBounds& c : fp.classes) count += c.bounds.size();
+  EXPECT_EQ(count, ref.bounds.size());
+  for (const FlowBound& b : ref.bounds) {
+    const FlowBound* mine = fp.find(b.flow);
+    ASSERT_NE(mine, nullptr) << "flow " << b.flow;
+    expect_same_bound(*mine, b);
+  }
+}
+
 TEST(FpFifo, SingleClassDegeneratesToProperty2) {
-  const FlowSet set = model::paper_example();  // all EF
-  const FpFifoResult fp = analyze_fp_fifo(set);
-  const Result p2 = analyze(set);
+  const FlowSet paper = model::paper_example();  // all EF
+  const FpFifoResult fp = analyze_fp_fifo(paper);
   ASSERT_EQ(fp.classes.size(), 1u);
   EXPECT_EQ(fp.classes[0].service_class, ServiceClass::kExpedited);
-  for (std::size_t i = 0; i < 5; ++i) {
-    const auto fi = static_cast<FlowIndex>(i);
-    EXPECT_EQ(fp.find(fi)->response, p2.find(fi)->response);
-  }
+  const Result p2 = analyze(paper);
+  EXPECT_EQ(fp.classes[0].converged, p2.converged);
+  EXPECT_EQ(fp.all_schedulable, p2.all_schedulable);
+  expect_fp_matches(fp, p2);
+  expect_same_counters(fp.stats, p2.stats);
+  for (const FlowBound& b : fp.classes[0].bounds)
+    EXPECT_EQ(b.prefix_responses.size(), paper.flow(b.flow).path().size());
+
+  // "j" leaves P_i at node 2 and re-enters at node 4, so the normaliser
+  // splits it and both analyses compose its segments.
+  FlowSet split(Network(8, 1, 2));
+  split.add(SporadicFlow("i", Path{1, 2, 3, 4, 5}, 100, 4, 1, 400));
+  split.add(SporadicFlow("j", Path{0, 2, 6, 4, 7}, 90, {3, 5, 2, 4, 1}, 0,
+                         400));
+  split.add(SporadicFlow("k", Path{6, 4, 5}, 120, 6, 2, 400));
+  const Result ref = analyze(split);
+  ASSERT_GT(ref.split_count, 0u);
+  const FpFifoResult composed = analyze_fp_fifo(split);
+  ASSERT_EQ(composed.classes.size(), 1u);
+  expect_fp_matches(composed, ref);
+  expect_same_counters(composed.stats, ref.stats);
+  EXPECT_TRUE(composed.find(1)->composed);
 }
 
 TEST(FpFifo, TopClassMatchesProperty3) {
@@ -36,15 +94,42 @@ TEST(FpFifo, TopClassMatchesProperty3) {
   set.add(SporadicFlow("ef", Path{0, 1, 2}, 50, 4, 0, 500));
   set.add(SporadicFlow("bulk", Path{0, 1, 2}, 100, 12, 0, 5000,
                        ServiceClass::kBestEffort));
-  const FpFifoResult fp = analyze_fp_fifo(set);
   Config ef_cfg;
   ef_cfg.ef_mode = true;
+  const FpFifoResult fp = analyze_fp_fifo(set);
+  ASSERT_EQ(fp.classes.size(), 2u);
   const Result p3 = analyze(set, ef_cfg);
-  EXPECT_EQ(fp.find(0)->response, p3.find(0)->response);
-  EXPECT_EQ(fp.find(0)->delta, p3.find(0)->delta);
+  EXPECT_GT(p3.find(0)->delta, 0);
+  expect_same_bound(*fp.find(0), *p3.find(0));
+
+  // Two EF flows, one of them re-entering the other's path, over
+  // best-effort blockers: only EF is analysed by Property 3, and FP/FIFO's
+  // top class equals it field by field.
+  FlowSet mixed(Network(8, 1, 2));
+  mixed.add(SporadicFlow("i", Path{1, 2, 3, 4, 5}, 100, 4, 1, 400));
+  mixed.add(SporadicFlow("j", Path{0, 2, 6, 4, 7}, 90, 3, 0, 400));
+  mixed.add(SporadicFlow("be1", Path{2, 3, 4}, 200, 9, 0, 4000,
+                         ServiceClass::kBestEffort));
+  mixed.add(SporadicFlow("be2", Path{6, 4, 7}, 150, 7, 3, 4000,
+                         ServiceClass::kBestEffort));
+  const Result ref = analyze(mixed, ef_cfg);
+  ASSERT_GT(ref.split_count, 0u);
+  ASSERT_EQ(ref.bounds.size(), 2u);
+  const FpFifoResult top = analyze_fp_fifo(mixed);
+  ASSERT_EQ(top.classes.size(), 2u);
+  EXPECT_EQ(top.classes[0].service_class, ServiceClass::kExpedited);
+  EXPECT_EQ(top.classes[0].converged, ref.converged);
+  ASSERT_EQ(top.classes[0].bounds.size(), 2u);
+  for (const FlowBound& b : ref.bounds) {
+    ASSERT_NE(top.find(b.flow), nullptr) << "flow " << b.flow;
+    expect_same_bound(*top.find(b.flow), b);
+  }
+  EXPECT_TRUE(top.find(1)->composed);
 }
 
-TEST(FpFifo, EveryClassGetsABound) {
+/// One flow per class of four, with higher classes overtaking lower ones
+/// on shared nodes.
+FlowSet four_class_set() {
   FlowSet set(Network(4, 1, 1));
   set.add(SporadicFlow("ef", Path{0, 1, 2}, 60, 3, 0, 500));
   set.add(SporadicFlow("af1", Path{0, 1, 2}, 80, 5, 0, 800,
@@ -53,7 +138,11 @@ TEST(FpFifo, EveryClassGetsABound) {
                        ServiceClass::kAssured3));
   set.add(SporadicFlow("be", Path{0, 1, 2, 3}, 150, 8, 0, 2000,
                        ServiceClass::kBestEffort));
-  const FpFifoResult fp = analyze_fp_fifo(set);
+  return set;
+}
+
+TEST(FpFifo, EveryClassGetsABound) {
+  const FpFifoResult fp = analyze_fp_fifo(four_class_set());
   ASSERT_EQ(fp.classes.size(), 4u);
   for (FlowIndex i = 0; i < 4; ++i) {
     ASSERT_NE(fp.find(i), nullptr);
@@ -103,6 +192,60 @@ TEST(FpFifo, DivergesWhenHigherClassesSaturateANode) {
   const FpFifoResult fp = analyze_fp_fifo(set);
   EXPECT_FALSE(is_infinite(fp.find(0)->response));
   EXPECT_TRUE(is_infinite(fp.find(1)->response));
+}
+
+TEST(FpFifo, TelemetrySpansFollowThePriorityOrder) {
+  obs::Telemetry tel;
+  (void)analyze_fp_fifo(four_class_set(), Config{}, &tel);
+  std::vector<std::pair<std::string, std::size_t>> top;
+  std::size_t engines = 0;
+  for (const obs::Tracer::Event& e : tel.trace.events()) {
+    if (e.depth <= 1) top.emplace_back(e.name, e.depth);
+    if (e.name == "trajectory.engine") {
+      EXPECT_EQ(e.depth, 2u);
+      ++engines;
+    }
+  }
+  const std::vector<std::pair<std::string, std::size_t>> want = {
+      {"trajectory.fp_fifo", 0},     {"trajectory.fp_fifo.EF", 1},
+      {"trajectory.fp_fifo.AF1", 1}, {"trajectory.fp_fifo.AF3", 1},
+      {"trajectory.fp_fifo.BE", 1}};
+  EXPECT_EQ(top, want);
+  EXPECT_EQ(engines, 4u);  // one engine run under each class span
+}
+
+void expect_same_result(const FpFifoResult& a, const FpFifoResult& b) {
+  ASSERT_EQ(a.classes.size(), b.classes.size());
+  for (std::size_t c = 0; c < a.classes.size(); ++c) {
+    EXPECT_EQ(a.classes[c].service_class, b.classes[c].service_class);
+    EXPECT_EQ(a.classes[c].converged, b.classes[c].converged);
+    ASSERT_EQ(a.classes[c].bounds.size(), b.classes[c].bounds.size());
+    for (std::size_t k = 0; k < a.classes[c].bounds.size(); ++k)
+      expect_same_bound(a.classes[c].bounds[k], b.classes[c].bounds[k]);
+  }
+  EXPECT_EQ(a.all_schedulable, b.all_schedulable);
+  expect_same_counters(a.stats, b.stats);
+}
+
+TEST(FpFifo, TelemetryAndWorkersLeaveBoundsAndCountersUnchanged) {
+  const FlowSet set = four_class_set();
+  const FpFifoResult plain = analyze_fp_fifo(set);
+  EXPECT_GT(plain.stats.test_points, 0u);
+  obs::Telemetry tel;
+  expect_same_result(analyze_fp_fifo(set, Config{}, &tel), plain);
+  EXPECT_EQ(tel.metrics.counter_value("trajectory.prefix_bounds"),
+            static_cast<std::int64_t>(plain.stats.prefix_bounds));
+
+  for (const std::size_t workers : {2u, 8u}) {
+    Config cfg;
+    cfg.workers = workers;
+    obs::Telemetry wtel;
+    const FpFifoResult fp = analyze_fp_fifo(set, cfg, &wtel);
+    expect_same_result(fp, plain);
+    EXPECT_EQ(fp.stats.workers, workers);
+    EXPECT_EQ(wtel.metrics.deterministic_json(),
+              tel.metrics.deterministic_json());
+  }
 }
 
 void expect_fp_sound(const FlowSet& set, std::uint64_t seed) {
