@@ -2,7 +2,8 @@
 // strict-priority DiffServ router — the analysis the paper's conclusion
 // gestures at but does not develop.  For a mixed-class deployment we print
 // each class's FP/FIFO bound, the worst response observed under the
-// strict-priority simulation, and the tightness ratio.
+// strict-priority simulation, and the tightness ratio.  Exits 1 when any
+// observation exceeds its bound.
 #include <cstdio>
 #include <string>
 
@@ -49,10 +50,12 @@ int main() {
 
   TextTable t({"class", "flow", "bound", "delta", "observed", "obs/bound",
                "sound"});
+  std::size_t violations = 0;
   for (const auto& cls : fp.classes) {
     for (const auto& b : cls.bounds) {
       const auto i = static_cast<std::size_t>(b.flow);
       const Duration o = obs.stats[i].worst;
+      if (o > b.response) ++violations;
       t.add_row({model::to_string(cls.service_class),
                  set.flow(b.flow).name(), format_duration(b.response),
                  format_duration(b.delta), format_duration(o),
@@ -69,5 +72,10 @@ int main() {
               "the priority\ninterference (window extended by the latest "
               "start time) and Lemma-4 blocking\nfrom below.  Every "
               "observation must stay within its bound.\n");
+  if (violations > 0) {
+    std::printf("\nFAIL: %zu observation(s) exceed their FP/FIFO bound\n",
+                violations);
+    return 1;
+  }
   return 0;
 }

@@ -24,15 +24,10 @@ EngineRoles default_roles(const model::FlowSet& set, const Config& cfg) {
   EngineRoles roles;
   roles.same.assign(n, true);
   roles.higher.assign(n, false);
-  roles.blockers.assign(n, false);
-  if (cfg.ef_mode) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const bool ef =
+  if (cfg.ef_mode)
+    for (std::size_t j = 0; j < n; ++j)
+      roles.same[j] =
           model::is_ef(set.flow(static_cast<FlowIndex>(j)).service_class());
-      roles.same[j] = ef;
-      roles.blockers[j] = !ef;
-    }
-  }
   return roles;
 }
 
@@ -153,10 +148,12 @@ void jump_to(std::vector<StepCursor>& heap, const TermBatch& terms, Time lo,
     const Duration cost = terms.cost(seed.term);
     // Bucket b and position r within it, t - first = b * width + r: each
     // step moves them by period / width and period % width, so only the
-    // first step divides.
+    // first step divides, and the step size is divided out only for a
+    // term with a second step in the range (period > 0, so a zero step
+    // size marks "not yet").
     const auto per = static_cast<std::uint64_t>(period);
-    const std::uint64_t b_step = per / width;
-    const std::uint64_t r_step = per % width;
+    std::uint64_t b_step = 0;
+    std::uint64_t r_step = 0;
     const std::uint64_t rel =
         static_cast<std::uint64_t>(seed.t) - static_cast<std::uint64_t>(first);
     std::uint64_t b = rel / width;
@@ -166,6 +163,10 @@ void jump_to(std::vector<StepCursor>& heap, const TermBatch& terms, Time lo,
       if (!checked_step_instant(cur.k + 1, period, offset, &cur.t))
         return false;  // wrapped step instant
       if (cur.t >= t_end) break;
+      if (b_step == 0 && r_step == 0) {
+        b_step = per / width;
+        r_step = per % width;
+      }
       ++cur.k;
       b += b_step;
       if (r >= width - r_step) {
@@ -198,37 +199,66 @@ CandidateSweep sweep_candidates(TermBatch& terms, Time t_begin, Time t_end,
   // wraps int64 is divergence, never a candidate: the projection cannot
   // see a wrapped product, and a wrapped t re-enters the sweep range
   // and corrupts the candidate set (or never reaches t_end at all).
+  //
+  // The same pass decides the incremental path and its base value, with
+  // one division per term (docs/math.md, "One division per term"): from
+  // the first step t = k_lo * T - offset, k_hi = k_lo + ceil(d / T) with
+  // d = t_end - t in (-T, t_end - t_begin], and the count at t_begin is
+  // (1 + floor(lo / T))^+ with floor(lo / T) = k_lo - (t != t_begin).
+  // Every check fails to the same kDiverged, so taking the first step's
+  // wrap check ahead of the budget cannot change the result.
   const std::size_t tn = terms.size();
   thread_local std::vector<StepCursor> steps;
   steps.clear();
   std::size_t projected = 1;
+  bool incremental = t_end <= kInfiniteDuration;  // t itself stays finite
+  WideSum sum = 0;
   for (std::size_t x = 0; x < tn; ++x) {
+    const Duration period = terms.period(x);
+    const Duration offset = terms.offset(x);
     Time lo = 0;
     Time hi = 0;
-    if (!checked_add_time(t_begin, terms.offset(x), &lo) ||
-        !checked_add_time(t_end, terms.offset(x), &hi))
+    if (!checked_add_time(t_begin, offset, &lo) ||
+        !checked_add_time(t_end, offset, &hi))
       return kDiverged;  // wrapped window edge, not a candidate set
-    StepCursor cur{0, static_cast<std::uint32_t>(x),
-                   ceil_div(lo, terms.period(x))};
-    const std::int64_t k_hi = ceil_div(hi, terms.period(x));
-    if (k_hi > cur.k) projected += static_cast<std::size_t>(k_hi - cur.k);
-    if (projected > budget) return kDiverged;
-    if (!checked_step_instant(cur.k, terms.period(x), terms.offset(x),
-                              &cur.t))
+    StepCursor cur{0, static_cast<std::uint32_t>(x), ceil_div(lo, period)};
+    if (!checked_step_instant(cur.k, period, offset, &cur.t))
       return kDiverged;  // wrapped step instant
+    // k_hi - k_lo: no step at or past t_end, one step when d <= T, and a
+    // division only for a term that steps more than once in the range.
+    std::uint64_t rises = 0;
+    if (cur.t < t_end) {
+      const std::uint64_t d = static_cast<std::uint64_t>(t_end) -
+                              static_cast<std::uint64_t>(cur.t);
+      const auto per = static_cast<std::uint64_t>(period);
+      rises = d <= per ? 1 : d / per + (d % per != 0 ? 1 : 0);
+    }
+    if (rises > budget || projected > budget - rises) return kDiverged;
+    projected += static_cast<std::size_t>(rises);
+    // The largest count over the range is (k_hi)^+, k_hi = ceil(hi / T):
+    // hazard-free while no window operand or sum reaches kInfiniteDuration
+    // and that count stays below the product's saturation threshold.
+    // k_hi fits int64 (it is at most hi), so the unsigned add is exact.
+    const auto k_hi = static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(cur.k) + rises);
+    incremental = incremental && hi <= kInfiniteDuration &&
+                  offset < kInfiniteDuration &&
+                  std::max<std::int64_t>(k_hi, 0) < terms.thr(x);
+    if (incremental) {
+      const std::int64_t count = 1 + cur.k - (cur.t != t_begin ? 1 : 0);
+      if (count > 0) sum += static_cast<WideSum>(count) * terms.cost(x);
+    }
     if (cur.t == t_begin &&
-        !checked_step_instant(++cur.k, terms.period(x), terms.offset(x),
-                              &cur.t))
+        !checked_step_instant(++cur.k, period, offset, &cur.t))
       return kDiverged;  // wrapped step instant
     if (cur.t < t_end) steps.push_back(cur);
   }
 
   // When no term can saturate anywhere in the sweep range, W(t) is the
-  // clamped read-out of an exact wide sum bumped at each step; otherwise
-  // every instant goes through the staged kernel, whose per-term
-  // saturation matches the scalar fold.
-  const bool incremental = terms.sweep_hazard_free(t_begin, t_end);
-  WideSum sum = incremental ? terms.sweep_base(t_begin) : 0;
+  // clamped read-out of an exact wide sum, seeded with the base above and
+  // bumped at each step; otherwise every instant goes through the staged
+  // kernel, whose per-term saturation matches the scalar fold, and the
+  // partial base is never read.
   CandidateSweep sweep;
   const auto visit = [&](Time t) {
     const Duration w = incremental ? clamp_wide(constant, sum)
@@ -314,8 +344,7 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
   workers_ = cfg_.workers == 0 ? default_worker_count() : cfg_.workers;
 
   const std::size_t n = set.size();
-  TFA_EXPECTS(roles.same.size() == n && roles.higher.size() == n &&
-              roles.blockers.size() == n);
+  TFA_EXPECTS(roles.same.size() == n && roles.higher.size() == n);
 
   obs::Telemetry* tel = opts.telemetry;
   obs::Span engine_span = obs::span(tel, "trajectory.engine");
@@ -329,17 +358,14 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
   mask_ = std::move(roles.same);
   hp_mask_ = std::move(roles.higher);
   higher_smax_ = std::move(roles.higher_smax);
+  // Every flow in neither the aggregate nor a higher class blocks.
   non_blockers_.assign(n, true);
-  bool any_blocker = false;
-  bool any_higher = false;
   for (std::size_t j = 0; j < n; ++j) {
-    TFA_EXPECTS(mask_[j] + hp_mask_[j] + roles.blockers[j] <= 1);
-    non_blockers_[j] = !roles.blockers[j];
-    any_blocker = any_blocker || roles.blockers[j];
-    any_higher = any_higher || hp_mask_[j];
+    TFA_EXPECTS(!(mask_[j] && hp_mask_[j]));
+    non_blockers_[j] = mask_[j] || hp_mask_[j];
+    delta_enabled_ = delta_enabled_ || !non_blockers_[j];
   }
-  TFA_EXPECTS(!any_higher || higher_smax_ != nullptr);
-  delta_enabled_ = any_blocker;
+  TFA_EXPECTS(!has_higher_priority_flows() || higher_smax_ != nullptr);
 
   // Per-flow parameter lanes: one contiguous read per batch push instead
   // of a flow-object dereference per interference term.
@@ -587,6 +613,7 @@ void Engine::build_prefix_contexts() {
           PrefixContext& ctx = prefix_ctx_[iu][p];
           const model::PrefixMeet& own = walk.meet(0);
           ctx.own_cost = own.c_slow;
+          ctx.own_thr = clamp_mul_threshold(own.c_slow);
           ctx.c_last = fi.cost_at_position(p);
           WideSum constant = static_cast<WideSum>(lmax_sum) - ctx.c_last;
           for (std::size_t q = 0; q <= p; ++q)
@@ -616,8 +643,8 @@ void Engine::build_prefix_contexts() {
             ts.hp = !mask_[ju];
             ts.period = flow_period_[ju];
             ts.cost = g.c_slow;
-            ts.smin_v = geometry_.smin(j, g.first_pj);
-            ts.m_cum_v = m_cum[g.entry_pi];
+            ts.thr = clamp_mul_threshold(ts.cost);
+            ts.a_static = geometry_.smin(j, g.first_pj) + m_cum[g.entry_pi];
             ctx.terms.push_back(ts);
           }
         }
@@ -725,7 +752,8 @@ PrefixBound Engine::prefix_bound(FlowIndex i, std::size_t prefix,
   terms.clear();
   hp_terms.clear();
   terms.reserve(ctx.terms.size() + 1);
-  terms.push(flow_jitter_[iu], flow_period_[iu], ctx.own_cost);  // own term
+  terms.push(flow_jitter_[iu], flow_period_[iu], ctx.own_cost,
+             ctx.own_thr);  // own term
   for (const TermStatic& ts : ctx.terms) {
     const Duration smax_i_at = smax_[iu][ts.pos_i_fji];
     const Duration smax_j_at =
@@ -738,11 +766,8 @@ PrefixBound Engine::prefix_bound(FlowIndex i, std::size_t prefix,
     // updated from responses that include the release jitter), so J_j is
     // already inside smax_j_at; adding flow_j.jitter() on top would widen
     // Lemma 2's interference window by J_j twice.
-    const Duration a_ij = smax_i_at - ts.smin_v - ts.m_cum_v + smax_j_at;
-    if (!ts.hp)
-      terms.push(a_ij, ts.period, ts.cost);
-    else
-      hp_terms.push(a_ij, ts.period, ts.cost);
+    const Duration a_ij = smax_i_at - ts.a_static + smax_j_at;
+    (ts.hp ? hp_terms : terms).push(a_ij, ts.period, ts.cost, ts.thr);
   }
 
   const Time t_begin = -fi.jitter();

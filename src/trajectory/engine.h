@@ -69,7 +69,12 @@ struct CandidateSweep {
 /// the range evaluates only the buckets whose bound W(hi-) + c_last - lo
 /// beats the best so far, by a k-way merge of the per-term step streams
 /// (docs/math.md, "Pruned candidate walk"); the result equals the full
-/// walk's.  `budget` caps the projected number of steps
+/// walk's.  One seeding pass per term, with one division (two for a term
+/// stepping more than once in the range), places the term's cursor,
+/// projects its steps, decides whether the exact wide sum may stand in
+/// for the staged kernel over the whole range, and adds the term's
+/// count at t_begin to that sum (docs/math.md, "One division per term").
+/// `budget` caps the projected number of steps
 /// (Config::max_sweep_candidates).  `terms` is non-const only for the
 /// staged kernel's scratch lanes.
 [[nodiscard]] CandidateSweep sweep_candidates(TermBatch& terms, Time t_begin,
@@ -80,7 +85,9 @@ struct CandidateSweep {
 /// Scheduling role of every flow relative to the aggregate under analysis.
 /// Roles are the only difference between Property 2, Property 3 and the
 /// FP/FIFO extension: default_roles() derives the first two from
-/// Config::ef_mode, analyze_fp_fifo() assigns one set per class.
+/// Config::ef_mode, analyze_fp_fifo() assigns one set per class.  Every
+/// flow in neither role is of strictly lower priority and contributes
+/// only the non-preemption blocking of Lemma 4.
 struct EngineRoles {
   /// Flows scheduled FIFO inside the analysed aggregate.
   std::vector<bool> same;
@@ -88,9 +95,6 @@ struct EngineRoles {
   /// so they are counted with a window extended by the (implicit) latest
   /// start time — a per-instant fixed point.
   std::vector<bool> higher;
-  /// Flows of strictly lower priority: contribute only the non-preemption
-  /// blocking of Lemma 4.
-  std::vector<bool> blockers;
   /// Smax accessor for `higher` flows (their tables live in the engine of
   /// their own class): (flow, path position) -> Smax.
   std::function<Duration(FlowIndex, std::size_t)> higher_smax;
@@ -98,8 +102,8 @@ struct EngineRoles {
 
 /// The roles implied by Config::ef_mode, the one place that decides
 /// Property 2/3 membership: Property 2 puts every flow in the FIFO
-/// aggregate; Property 3 puts the EF flows in it and makes every other
-/// flow a Lemma-4 blocker.
+/// aggregate; Property 3 puts the EF flows in it, so every other flow is
+/// a Lemma-4 blocker.
 [[nodiscard]] EngineRoles default_roles(const model::FlowSet& set,
                                         const Config& cfg);
 
@@ -217,9 +221,13 @@ class Engine {
     bool hp = false;              ///< Higher-priority (FP/FIFO) term.
     Duration period = 0;          ///< T_j.
     Duration cost = 0;            ///< C_j^{slow_{j,i}}.
-    Duration smin_v = 0;          ///< Smin_j^{first_ji}.
-    Duration m_cum_v = 0;         ///< M_i^{first_ij} cumulative term.
+    Duration thr = 0;             ///< clamp_mul_threshold(cost).
+    /// Smin_j^{first_ji} + M_i^{first_ij}: the Smax-free part of A_{i,j},
+    /// summed once (finite int64 values, so the sum is exact).
+    Duration a_static = 0;
   };
+  static_assert(sizeof(TermStatic) == 48,
+                "every prefix context holds one TermStatic per term");
 
   /// One distinct Lemma-3 busy-period operator of the run and its
   /// solution.  The operator depends only on the prefix's node set N and
@@ -251,6 +259,7 @@ class Engine {
     Duration constant = 0;        ///< W's t-independent terms (incl. delta).
     Duration c_last = 0;          ///< C_i^{P_i[prefix-1]}.
     Duration own_cost = 0;        ///< C_i^{slow_i} (own-term cost).
+    Duration own_thr = 0;         ///< clamp_mul_threshold(own_cost).
     std::vector<TermStatic> terms;
   };
 

@@ -49,12 +49,10 @@ FpFifoResult analyze_fp_fifo(const model::FlowSet& set, const Config& cfg,
     // classes below it block.
     EngineRoles roles;
     roles.same.assign(n, false);
-    roles.blockers.assign(n, false);
     bool any = false;
     for (std::size_t j = 0; j < n; ++j) {
       roles.same[j] =
           fs.flow(static_cast<FlowIndex>(j)).service_class() == klass;
-      roles.blockers[j] = !roles.same[j] && !higher[j];
       any = any || roles.same[j];
     }
     if (!any) continue;

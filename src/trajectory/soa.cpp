@@ -83,15 +83,6 @@ void TermBatch::clear() {
   thr_.clear();
 }
 
-void TermBatch::push(Duration offset, Duration period, Duration cost) {
-  TFA_EXPECTS(period > 0);
-  TFA_EXPECTS(cost >= 0);
-  offset_.push_back(offset);
-  period_.push_back(period);
-  cost_.push_back(cost);
-  thr_.push_back(clamp_mul_threshold(cost));
-}
-
 Duration TermBatch::workload(Time t, Duration w0) {
   const std::size_t n = size();
   win_.resize(n);
@@ -124,35 +115,6 @@ Duration TermBatch::workload(Time t, Duration w0) {
   // not, so the saturated case exits before the accumulate stage.
   if (saturated != 0) return kInfiniteDuration;
   return accumulate_clamped(w0, contrib, n);
-}
-
-bool TermBatch::sweep_hazard_free(Time t_begin, Time t_end) const {
-  const std::size_t n = size();
-  for (std::size_t j = 0; j < n; ++j) {
-    // The windows over the range are [lo, end - 1]: both edges must stay
-    // representable and the top one finite.
-    Time lo = 0;
-    Time end = 0;
-    if (!checked_add_time(t_begin, offset_[j], &lo) ||
-        !checked_add_time(t_end, offset_[j], &end) ||
-        end > kInfiniteDuration)
-      return false;
-    // Largest count over the range (counts are monotone in t):
-    // 1 + floor((end - 1) / T) = ceil(end / T), in int64 for every end.
-    if (raw_ceil_div(end, period_[j]) >= thr_[j]) return false;
-  }
-  return true;
-}
-
-WideSum TermBatch::sweep_base(Time t_begin) const {
-  WideSum s = 0;
-  const std::size_t n = size();
-  for (std::size_t j = 0; j < n; ++j) {
-    // Fits int64: sweep_hazard_free checked the window range.
-    const Duration a = t_begin + offset_[j];
-    s += static_cast<WideSum>(raw_sporadic_count(a, period_[j])) * cost_[j];
-  }
-  return s;
 }
 
 // ---------------------------------------------------------------------- //

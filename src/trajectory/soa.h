@@ -4,11 +4,14 @@
 // Jacobi pass: the Lemma-3 busy-period operator, the Property-2/3
 // workload W_i(t), and the FP/FIFO per-instant fixed point.  The batches
 // below pack the terms into parallel arrays (offset / period / cost /
-// saturation threshold) built once per prefix evaluation, and evaluate
+// saturation threshold) filled once per prefix evaluation, and evaluate
 // them in staged loops of branch-free clamp ops (base/checked.h) that
-// the compiler can auto-vectorize — plus an event-driven incremental
-// path for the exact candidate sweep that eliminates the per-candidate
-// re-evaluation entirely.
+// the compiler can auto-vectorize.  A term's period, cost and threshold
+// are constants of the run (only its offset reads the Smax table), so
+// the caller computes the threshold once and push() only copies it.  The
+// exact candidate sweep (sweep_candidates, trajectory/engine.h) reads the
+// lanes directly: its one seeding pass per term decides the incremental
+// path and its base value with one division per term.
 //
 // Bit-identity contract: every entry point returns exactly the value of
 // the scalar saturating fold (one sat op per term, in push order).  The
@@ -29,6 +32,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "base/contracts.h"
 #include "base/types.h"
 
 namespace tfa::trajectory {
@@ -41,36 +45,35 @@ __extension__ typedef __int128 WideSum;  // NOLINT: suppresses -Wpedantic
 /// SoA batch of sporadic interference terms: W(t) = sum over terms of
 /// sporadic_count(t + offset_j, T_j) * c_j, saturating.  Used for the
 /// aggregate workload (Lemma 2 terms), the FP/FIFO higher-priority
-/// terms, and — via the sweep helpers — the exact candidate sweep.
+/// terms, and the exact candidate sweep.
 class TermBatch {
  public:
   void reserve(std::size_t n);
   void clear();
 
-  /// Appends one term.  `period` > 0; `cost` >= 0.
-  void push(Duration offset, Duration period, Duration cost);
+  /// Appends one term.  `period` > 0; `cost` >= 0; `thr` must be
+  /// clamp_mul_threshold(cost) (base/checked.h), which the caller builds
+  /// once per run instead of once per push.  Inline: the engine pushes
+  /// every term of every prefix evaluation.
+  void push(Duration offset, Duration period, Duration cost, Duration thr) {
+    TFA_EXPECTS(period > 0);
+    TFA_EXPECTS(cost >= 0);
+    offset_.push_back(offset);
+    period_.push_back(period);
+    cost_.push_back(cost);
+    thr_.push_back(thr);
+  }
 
   [[nodiscard]] std::size_t size() const noexcept { return offset_.size(); }
   [[nodiscard]] bool empty() const noexcept { return offset_.empty(); }
   [[nodiscard]] Duration offset(std::size_t j) const { return offset_[j]; }
   [[nodiscard]] Duration period(std::size_t j) const { return period_[j]; }
   [[nodiscard]] Duration cost(std::size_t j) const { return cost_[j]; }
+  [[nodiscard]] Duration thr(std::size_t j) const { return thr_[j]; }
 
   /// The saturating fold w0 ⊕ Σ_j term_j(t), by the staged clamp
   /// kernels.  Non-const: the stages use the batch-owned scratch lanes.
   [[nodiscard]] Duration workload(Time t, Duration w0);
-
-  /// True when the incremental sweep is exact over every t in
-  /// [t_begin, t_end): no window, count, or product can saturate or
-  /// leave int64 anywhere in the range (window edges by overflow-checked
-  /// adds, then the largest count in int64).  When it returns false the
-  /// sweep must evaluate every candidate via workload(), whose per-term
-  /// saturation handling is always exact.
-  [[nodiscard]] bool sweep_hazard_free(Time t_begin, Time t_end) const;
-
-  /// Σ_j count_j(t_begin) * c_j as an exact wide sum — the incremental
-  /// sweep's base value.  Requires sweep_hazard_free(t_begin, t_end).
-  [[nodiscard]] WideSum sweep_base(Time t_begin) const;
 
  private:
   std::vector<Duration> offset_;

@@ -8,6 +8,9 @@
 //
 //   * scalar_workload / scalar_busy — the saturating folds the kernels
 //     must reproduce bit for bit: one sat op per term, in term order;
+//   * sweep_hazard_free — the incremental sweep's hazard test written
+//     out per term, as two separate passes: the oracle of the decision
+//     sweep_candidates() takes in its one fused seeding pass;
 //   * reference_prefix_bound — Engine::prefix_bound rebuilt from the
 //     engine's public accessors only (geometry, Smax table, roles), the
 //     way trajectory/explain.cpp decomposes a bound: no PrefixContext, no
@@ -30,6 +33,7 @@
 #include "model/path_algebra.h"
 #include "trajectory/delta.h"
 #include "trajectory/engine.h"
+#include "trajectory/soa.h"
 
 namespace tfa::proptest {
 
@@ -65,6 +69,26 @@ struct BusyTerm {
   for (const BusyTerm& x : terms)
     sum = sat_add(sum, sat_ceil_div_mul(b, x.period, x.cost));
   return sum;
+}
+
+/// True when sweep_candidates() may take its incremental path over
+/// [t_begin, t_end): no window edge t_begin + offset or t_end + offset
+/// leaves int64, and every term's scalar value is finite at the top
+/// instant t_end - 1, where window and count are largest — so on the
+/// whole range each term is its exact count * cost.  When false the
+/// sweep walks every candidate through the staged kernel.
+[[nodiscard]] inline bool sweep_hazard_free(const trajectory::TermBatch& terms,
+                                            Time t_begin, Time t_end) {
+  for (std::size_t j = 0; j < terms.size(); ++j) {
+    Time lo = 0;
+    Time hi = 0;
+    if (!checked_add_time(t_begin, terms.offset(j), &lo) ||
+        !checked_add_time(t_end, terms.offset(j), &hi) ||
+        is_infinite(sat_sporadic_term(sat_add(t_end - 1, terms.offset(j)),
+                                      terms.period(j), terms.cost(j))))
+      return false;
+  }
+  return true;
 }
 
 /// Property 2/3 bound of flow `i` over its first `prefix` hops, against
@@ -185,12 +209,10 @@ struct BusyTerm {
   if (hazard != nullptr) {
     // Over [t_begin, t_end) a term's window runs up to t_end - 1 + offset
     // and its count is largest there.
-    for (const SporadicTerm& x : terms) {
-      Time top = 0;
-      if (!checked_add_time(t_end - 1, x.offset, &top) ||
-          is_infinite(sat_sporadic_term(top, x.period, x.cost)))
+    for (const SporadicTerm& x : terms)
+      if (is_infinite(sat_sporadic_term(sat_add(t_end - 1, x.offset),
+                                        x.period, x.cost)))
         *hazard = true;
-    }
   }
   std::sort(candidates.begin(), candidates.end());
   candidates.erase(std::unique(candidates.begin(), candidates.end()),

@@ -243,8 +243,8 @@ TEST(SoaSweep, TestPointsEqualTheReferenceCandidateCount) {
 
 /// Single-node hazard sets: an interference term of `victim` saturates
 /// part-way through its sweep range, so the sweep cannot use the exact
-/// wide sum (TermBatch::sweep_hazard_free is false) and every candidate
-/// goes through the staged kernel.  On one node A_{victim,j} = J_j (the
+/// wide sum (scalar_reference.h's sweep_hazard_free is false) and every
+/// candidate goes through the staged kernel.  On one node A_{victim,j} = J_j (the
 /// victim has no jitter), so the term's window is t + J_j.
 struct HazardCase {
   const char* what;
@@ -327,9 +327,10 @@ TEST(SoaSweep, HazardPathMatchesScalarReference) {
       trajectory::TermBatch terms;
       for (std::size_t j = 0; j < hc.set.size(); ++j) {
         const model::SporadicFlow& f = hc.set.flow(static_cast<FlowIndex>(j));
-        terms.push(f.jitter(), f.period(), f.cost_at_position(0));
+        terms.push(f.jitter(), f.period(), f.cost_at_position(0),
+                   clamp_mul_threshold(f.cost_at_position(0)));
       }
-      EXPECT_FALSE(terms.sweep_hazard_free(0, victim.busy_period));
+      EXPECT_FALSE(sweep_hazard_free(terms, 0, victim.busy_period));
     }
   }
 }

@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "../proptest/scalar_reference.h"
 #include "base/checked.h"
 #include "base/math.h"
 #include "model/paper_example.h"
@@ -141,27 +142,37 @@ struct Term {
   Duration cost = 0;
 };
 
+TermBatch batch_of(const std::vector<Term>& terms) {
+  TermBatch batch;
+  for (const Term& x : terms)
+    batch.push(x.offset, x.period, x.cost, clamp_mul_threshold(x.cost));
+  return batch;
+}
+
 CandidateSweep sweep(const std::vector<Term>& terms, Time t_begin, Time t_end,
                      Duration constant, Duration c_last,
                      std::size_t budget = std::size_t{1} << 22) {
-  TermBatch batch;
-  for (const Term& x : terms) batch.push(x.offset, x.period, x.cost);
+  TermBatch batch = batch_of(terms);
   return sweep_candidates(batch, t_begin, t_end, constant, c_last, budget);
+}
+
+/// scalar_reference.h's two-pass hazard test over the batch of `terms`.
+bool hazard_free(const std::vector<Term>& terms, Time t_begin, Time t_end) {
+  return proptest::sweep_hazard_free(batch_of(terms), t_begin, t_end);
 }
 
 /// Brute force over every integer instant of a small range: the
 /// candidates are t_begin plus every t where some (t + offset) is a
-/// multiple of the period, and each is evaluated with the scalar
-/// saturating fold.
+/// multiple of the period (exact, even past kInfiniteDuration), and each
+/// is evaluated with the scalar saturating fold.
 CandidateSweep brute_force(const std::vector<Term>& terms, Time t_begin,
                            Time t_end, Duration constant, Duration c_last) {
   CandidateSweep out;
   for (Time t = t_begin; t < t_end; ++t) {
     bool candidate = t == t_begin;
-    for (const Term& x : terms) {
-      const Duration window = sat_add(t, x.offset);
-      candidate = candidate || floor_div(window, x.period) * x.period == window;
-    }
+    for (const Term& x : terms)
+      candidate = candidate ||
+                  (static_cast<WideSum>(t) + x.offset) % x.period == 0;
     if (!candidate) continue;
     ++out.test_points;
     Duration w = constant;
@@ -235,9 +246,7 @@ TEST(CandidateSweep, HazardPathWalksTheSameCandidates) {
   // candidates, but only candidates are evaluated).
   const std::vector<Term> terms{{0, 12, 5}, {kInfiniteDuration - 10,
                                              Duration{1} << 60, 1}};
-  TermBatch batch;
-  for (const Term& x : terms) batch.push(x.offset, x.period, x.cost);
-  ASSERT_FALSE(batch.sweep_hazard_free(0, 21));
+  ASSERT_FALSE(hazard_free(terms, 0, 21));
   const CandidateSweep s = sweep(terms, 0, 21, -5, 5);
   EXPECT_EQ(s.test_points, 2u);
   EXPECT_EQ(s.best, kInfiniteDuration);
@@ -321,9 +330,7 @@ TEST(CandidateSweep, BucketWhoseWorkloadSaturatesIsNeverSkipped) {
   // wide bound kInfiniteDuration - 10 would lose to r(0), but r(10) reads
   // the saturated W and is kInfiniteDuration: the bucket must be walked.
   const std::vector<Term> terms{{-10, 100, 10}};
-  TermBatch batch;
-  batch.push(-10, 100, 10);
-  ASSERT_TRUE(batch.sweep_hazard_free(0, 20));
+  ASSERT_TRUE(hazard_free(terms, 0, 20));
   const CandidateSweep s = sweep(terms, 0, 20, kInfiniteDuration - 5, 0);
   EXPECT_EQ(s.test_points, 2u);
   EXPECT_EQ(s.best, kInfiniteDuration);
@@ -333,21 +340,37 @@ TEST(CandidateSweep, BucketWhoseWorkloadSaturatesIsNeverSkipped) {
 
 TEST(CandidateSweep, ResponseThatCanWrapBelowInt64IsNotPruned) {
   // sat_add reads a sum that wraps below INT64_MIN as saturation, so r is
-  // not monotone there and no bucket bound holds.  W = -1.5 * 2^62 (+1
-  // from the step at 2^62, k = 0; the step at 2^61 has k = -1): r(2^61)
-  // is exactly INT64_MIN, and W + c_last - 2^62 wraps, so r(2^62) is
-  // kInfiniteDuration.  Every candidate must be evaluated.
+  // not monotone there and no bucket bound holds.  W = INT64_MIN + 50 (+1
+  // from the step at 60): r(0) = INT64_MIN + 50, and W + c_last - 60
+  // wraps, so r(60) is kInfiniteDuration.  The bucket [60, 100) bounds r
+  // by INT64_MIN - 9 < r(0), yet it must be walked.
+  const std::vector<Term> terms{{-60, 1000, 1}};
+  const Duration constant = std::numeric_limits<Duration>::min() + 50;
+  ASSERT_TRUE(hazard_free(terms, 0, 100));
+  const CandidateSweep s = sweep(terms, 0, 100, constant, 0);
+  EXPECT_FALSE(s.diverged);
+  EXPECT_EQ(s.test_points, 2u);
+  EXPECT_EQ(s.best, kInfiniteDuration);
+  EXPECT_EQ(s.best_t, 60);
+  expect_sweep(s, brute_force(terms, 0, 100, constant, 0), /*hazard=*/true);
+}
+
+TEST(CandidateSweep, InstantsPastInfinityTakeTheHazardPath) {
+  // The scalar fold saturates the window of every instant t >=
+  // kInfiniteDuration (sat_add absorbs an infinite operand), whatever
+  // the offset.  Here the windows t - 2^62 stay small, but the
+  // candidates 2^61 (k = -1) and 2^62 (k = 0) are past
+  // kInfiniteDuration: the range is hazardous, every candidate is
+  // walked, and W saturates at the first of them.
   constexpr Duration k61 = Duration{1} << 61;
   constexpr Duration k62 = Duration{1} << 62;
   const std::vector<Term> terms{{-k62, k61, 1}};
-  TermBatch batch;
-  batch.push(-k62, k61, 1);
-  ASSERT_TRUE(batch.sweep_hazard_free(0, k62 + 100));
+  ASSERT_FALSE(hazard_free(terms, 0, k62 + 100));
   const CandidateSweep s = sweep(terms, 0, k62 + 100, -k62 - k61, 0);
   EXPECT_FALSE(s.diverged);
   EXPECT_EQ(s.test_points, 3u);
   EXPECT_EQ(s.best, kInfiniteDuration);
-  EXPECT_EQ(s.best_t, k62);
+  EXPECT_EQ(s.best_t, k61);
 }
 
 TEST(CandidateSweep, WrappedStepInASkippedBucketDiverges) {
@@ -358,9 +381,7 @@ TEST(CandidateSweep, WrappedStepInASkippedBucketDiverges) {
   std::vector<Term> terms;
   for (Duration j = 0; j < 10; ++j) terms.push_back({-(10 + 20 * j), 10000, 1});
   terms.push_back({-50, std::numeric_limits<Duration>::max() - 10, 1});
-  TermBatch batch;
-  for (const Term& x : terms) batch.push(x.offset, x.period, x.cost);
-  ASSERT_TRUE(batch.sweep_hazard_free(0, 200));
+  ASSERT_TRUE(hazard_free(terms, 0, 200));
   const CandidateSweep s = sweep(terms, 0, 200, 0, 0);
   EXPECT_TRUE(s.diverged);
   EXPECT_EQ(s.test_points, 0u);
@@ -370,29 +391,115 @@ TEST(CandidateSweep, WrappedStepInASkippedBucketDiverges) {
 }
 
 TEST(CandidateSweep, PrunedSweepMatchesBruteForceOnRandomTermSets) {
-  // Small random term sets, some with W(t) near saturation: the pruned
-  // sweep must find the brute force's maximum and earliest instant.
+  // Small random term sets, some with W(t) near saturation, some with a
+  // term whose count crosses its saturation threshold in the range and
+  // some with a window crossing kInfiniteDuration: the pruned sweep must
+  // find the brute force's maximum and earliest instant, and walk every
+  // candidate whenever the two-pass hazard test says the range is
+  // hazardous.
   std::mt19937_64 rng(0x5EEB);
   const auto pick = [&rng](Duration lo, Duration hi) {
     return std::uniform_int_distribution<Duration>(lo, hi)(rng);
   };
   std::size_t pruned = 0;
+  std::size_t hazards = 0;
+  std::size_t threshold_draws = 0;
+  std::size_t window_draws = 0;
   for (int round = 0; round < 2000; ++round) {
     std::vector<Term> terms(static_cast<std::size_t>(pick(1, 8)));
     for (Term& x : terms) x = {pick(-60, 60), pick(1, 40), pick(0, 30)};
     const Time t_begin = pick(-30, 10);
     const Time t_end = t_begin + pick(1, 80);
+    if (round % 3 == 1) {
+      // A cost whose clamp_mul_threshold is about q: the largest count
+      // over the range lands on either side of it.
+      const Duration q = pick(1, 12);
+      terms.back().cost = kInfiniteDuration / q + pick(-2, 2);
+      terms.back().period = pick(1, 20);
+      ++threshold_draws;
+    } else if (round % 3 == 2) {
+      // A window whose top edge t_end + offset lands around
+      // kInfiniteDuration.
+      terms.back().offset = kInfiniteDuration - t_end + pick(-20, 20);
+      terms.back().period = round % 2 == 0 ? pick(1, 40) : Duration{1} << 60;
+      ++window_draws;
+    }
     const Duration constant =
         round % 4 == 0 ? kInfiniteDuration - pick(0, 400) : pick(-20, 20);
     const Duration c_last = pick(0, 20);
     SCOPED_TRACE(round);
+    const bool hazard = !hazard_free(terms, t_begin, t_end);
     const CandidateSweep got = sweep(terms, t_begin, t_end, constant, c_last);
     const CandidateSweep want =
         brute_force(terms, t_begin, t_end, constant, c_last);
-    expect_sweep(got, want);
+    expect_sweep(got, want, hazard);
     if (got.test_points < want.test_points) ++pruned;
+    if (hazard) ++hazards;
   }
   EXPECT_GT(pruned, 0u);
+  EXPECT_GT(hazards, 100u);
+  EXPECT_GT(threshold_draws, 600u);
+  EXPECT_GT(window_draws, 600u);
+}
+
+TEST(CandidateSweep, FusedSeedingMatchesTheTwoPassHazardTest) {
+  // One seeding pass per term derives k_hi = k_lo + ceil(d / T) from the
+  // first step t (d = t_end - t), the hazard flag from k_hi, and the
+  // count at t_begin from k_lo.  Each case pins the two-pass oracle's
+  // decision and checks the sweep against the brute force for several
+  // constants; a hazardous range must walk every candidate.
+  constexpr Duration kInf = kInfiniteDuration;
+  constexpr Duration k51 = Duration{1} << 51;  // clamp_mul_threshold 4
+  constexpr Duration k60 = Duration{1} << 60;
+  struct Case {
+    const char* what;
+    std::vector<Term> terms;
+    Time t_begin;
+    Time t_end;
+    bool hazard_free;
+  };
+  const std::vector<Case> cases{
+      // t = t_begin: floor(lo / T) = k_lo, counts 3 and 1 at t_begin.
+      {"first step at t_begin", {{0, 10, 12}, {-20, 10, 3}}, 20, 45, true},
+      // First steps at t_end (d = 0) and past it (d = -5): k_hi = k_lo.
+      {"d <= 0", {{-10, 100, 7}, {-15, 100, 7}, {5, 10, 2}}, 0, 10, true},
+      {"d == T", {{-3, 7, 5}}, 0, 10, true},
+      {"d in (T, 2T)", {{-3, 7, 5}}, 0, 11, true},
+      {"d == 2T", {{-3, 7, 5}}, 0, 17, true},
+      // lo = -28: k_lo = -2, the first steps (k < 0) add nothing.
+      {"negative offsets", {{-23, 10, 4}, {-7, 3, 1}}, -5, 40, true},
+      // Top window kInf - 1, then kInf: the window edge of the flag.
+      {"top window below kInf", {{kInf - 10, k60, 1}}, 0, 10, true},
+      {"top window at kInf", {{kInf - 10, k60, 1}}, 0, 11, false},
+      // Largest count 3, then 4 = the threshold of cost 2^51.
+      {"count below the threshold", {{0, 1, k51}}, 0, 3, true},
+      {"count at the threshold", {{0, 1, k51}}, 0, 4, false},
+      {"cost 0 never saturates", {{0, 1, 0}, {-5, 9, 1}}, 0, 50, true},
+      // The benign terms have a nonzero base at t_begin; only the last
+      // term's window passes kInf, so the base must be discarded.
+      {"only the last term is hazardous",
+       {{10, 7, 3}, {-4, 11, 2}, {kInf - 25, k60, 1}}, 0, 30, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    EXPECT_EQ(hazard_free(c.terms, c.t_begin, c.t_end), c.hazard_free);
+    for (const Duration constant : {Duration{0}, Duration{-7}, kInf - 40}) {
+      for (const Duration c_last : {Duration{0}, Duration{60}}) {
+        expect_sweep(sweep(c.terms, c.t_begin, c.t_end, constant, c_last),
+                     brute_force(c.terms, c.t_begin, c.t_end, constant, c_last),
+                     !c.hazard_free);
+      }
+    }
+  }
+  // Observed through the test points: without the hazardous last term
+  // the same range takes the incremental path and skips the bucket
+  // [17, 30) (4 of 7 candidates); with it every candidate is walked.
+  const std::vector<Term> benign{{10, 7, 3}, {-4, 11, 2}};
+  EXPECT_EQ(sweep(benign, 0, 30, 0, 0).test_points, 4u);
+  EXPECT_EQ(brute_force(benign, 0, 30, 0, 0).test_points, 7u);
+  const Case& last = cases.back();
+  EXPECT_EQ(sweep(last.terms, 0, 30, 0, 0).test_points,
+            brute_force(last.terms, 0, 30, 0, 0).test_points);
 }
 
 TEST(CandidateSweep, BudgetCountsProjectedSteps) {

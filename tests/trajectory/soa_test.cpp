@@ -36,7 +36,7 @@ struct Terms {
   std::vector<SporadicTerm> list;
 
   void push(Duration offset, Duration period, Duration cost) {
-    batch.push(offset, period, cost);
+    batch.push(offset, period, cost, clamp_mul_threshold(cost));
     list.push_back({offset, period, cost});
   }
   [[nodiscard]] Duration scalar(Time t, Duration w0) const {
@@ -126,21 +126,59 @@ TEST(TermBatch, CountThresholdSaturationMatchesScalar) {
   EXPECT_EQ(terms.batch.workload(t3, 0), 3 * (Duration{1} << 51));
 }
 
+/// Candidate instants of the exact sweep over [t_begin, t_end), by brute
+/// force: t_begin plus every t at which some term's count steps, i.e.
+/// t + offset is a multiple of the period.
+std::size_t candidate_count(const TermBatch& batch, Time t_begin, Time t_end) {
+  std::size_t n = 1;
+  for (Time t = t_begin + 1; t < t_end; ++t)
+    for (std::size_t j = 0; j < batch.size(); ++j)
+      if ((static_cast<WideSum>(t) + batch.offset(j)) % batch.period(j) == 0) {
+        ++n;
+        break;
+      }
+  return n;
+}
+
+/// The hazard decision of sweep_candidates()'s fused seeding pass,
+/// checked against scalar_reference.h's two-pass oracle: a hazardous
+/// range walks every candidate (`test_points` equals the full count),
+/// and the caller can require the hazard-free path to prune.
+void expect_hazard(TermBatch& batch, Time t_begin, Time t_end,
+                   bool hazard_free, bool prunes = false) {
+  SCOPED_TRACE(testing::Message() << "[" << t_begin << ", " << t_end << ")");
+  EXPECT_EQ(proptest::sweep_hazard_free(batch, t_begin, t_end), hazard_free);
+  const CandidateSweep s =
+      sweep_candidates(batch, t_begin, t_end, 0, 0, std::size_t{1} << 22);
+  ASSERT_FALSE(s.diverged);
+  const std::size_t all = candidate_count(batch, t_begin, t_end);
+  if (!hazard_free) {
+    EXPECT_EQ(s.test_points, all);
+  }
+  if (prunes) {
+    EXPECT_LT(s.test_points, all);
+  }
+}
+
 TEST(TermBatch, SweepHazardDetection) {
-  TermBatch benign;
+  Terms benign;
   benign.push(10, 7, 3);
   benign.push(-4, 11, 2);
-  EXPECT_TRUE(benign.sweep_hazard_free(-100, 1'000'000));
+  expect_hazard(benign.batch, -100, 1'000'000, true);
+  // Over [0, 30) the incremental path skips the bucket [17, 30).
+  expect_hazard(benign.batch, 0, 30, true, /*prunes=*/true);
 
-  TermBatch window_hazard;
+  Terms window_hazard;
   window_hazard.push(kInf - 1, 7, 3);  // t_end - 1 + offset reaches kInf
-  EXPECT_FALSE(window_hazard.sweep_hazard_free(0, 10));
-  EXPECT_TRUE(window_hazard.sweep_hazard_free(-kInf, -kInf + 10));
+  expect_hazard(window_hazard.batch, 0, 10, false);
+  expect_hazard(window_hazard.batch, -kInf, -kInf + 10, true);
 
-  TermBatch product_hazard;  // max count saturates the product
+  Terms product_hazard;  // max count saturates the product (threshold 4)
   product_hazard.push(0, 1, Duration{1} << 51);
-  EXPECT_FALSE(product_hazard.sweep_hazard_free(0, 1LL << 40));
-  EXPECT_TRUE(product_hazard.sweep_hazard_free(0, 2));
+  EXPECT_FALSE(proptest::sweep_hazard_free(product_hazard.batch, 0, 1LL << 40));
+  expect_hazard(product_hazard.batch, 0, 4, false);
+  expect_hazard(product_hazard.batch, 0, 3, true);
+  expect_hazard(product_hazard.batch, 0, 2, true);
 }
 
 TEST(TermBatch, SweepBaseMatchesWorkloadOnTheHazardFreeRange) {
@@ -148,13 +186,17 @@ TEST(TermBatch, SweepBaseMatchesWorkloadOnTheHazardFreeRange) {
   terms.push(10, 7, 3);
   terms.push(-40, 11, 2);
   terms.push(0, 5, 9);
-  ASSERT_TRUE(terms.batch.sweep_hazard_free(-50, 200));
+  ASSERT_TRUE(proptest::sweep_hazard_free(terms.batch, -50, 200));
   for (const Time t : {Time{-50}, Time{-1}, Time{0}, Time{1}, Time{34},
                        Time{150}}) {
     for (const Duration w0 : {Duration{-9}, Duration{0}, Duration{123}}) {
       const Duration expect = terms.scalar(t, w0);
-      EXPECT_EQ(clamp_wide(w0, terms.batch.sweep_base(t)), expect)
-          << "t=" << t << " w0=" << w0;
+      // [t, t + 1) has no step after t_begin: the one test point reads
+      // the fused seeding pass's base count, r = W(t) + c_last - t.
+      const CandidateSweep s = sweep_candidates(terms.batch, t, t + 1, w0,
+                                                t + 1000, std::size_t{1} << 22);
+      EXPECT_EQ(s.test_points, 1u);
+      EXPECT_EQ(s.best, expect + 1000) << "t=" << t << " w0=" << w0;
       EXPECT_EQ(terms.batch.workload(t, w0), expect);
     }
   }
@@ -202,7 +244,6 @@ TEST(Engine, SaturatingHigherPriorityTermIsDivergenceNotConvergence) {
   EngineRoles roles;
   roles.same = {true, false};
   roles.higher = {false, true};
-  roles.blockers = {false, false};
   roles.higher_smax = [](FlowIndex, std::size_t) { return Duration{0}; };
 
   const Engine engine(set, cfg, std::move(roles));
@@ -235,7 +276,6 @@ TEST(Engine, SaturatedWindowInsidePerInstantFixedPointIsDivergence) {
   EngineRoles roles;
   roles.same = {true, true, false};
   roles.higher = {false, false, true};
-  roles.blockers = {false, false, false};
   roles.higher_smax = [](FlowIndex, std::size_t) { return kInf - 1; };
 
   const Engine engine(set, cfg, std::move(roles));
@@ -258,7 +298,6 @@ TEST(Engine, PinnedBoundsUnderExplicitRolesWithHigherPriorityTerms) {
   EngineRoles roles;
   roles.same = {true, true, false};
   roles.higher = {false, false, true};
-  roles.blockers = {false, false, false};
   roles.higher_smax = [](FlowIndex, std::size_t pos) {
     return static_cast<Duration>(pos);
   };
