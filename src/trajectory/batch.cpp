@@ -126,7 +126,7 @@ Result run_analysis(const model::FlowSet& set, AnalysisCache& cache,
   }
 
   // Seed rows resolved up front so the engine's hook is just a lookup.
-  // Only the aggregate's flows carry Smax rows.
+  // Only the analysed flows carry Smax rows.
   EngineRoles roles = default_roles(fs, cfg);
   std::vector<const std::vector<Duration>*> seed(n, nullptr);
   EngineOptions opts;
@@ -134,7 +134,7 @@ Result run_analysis(const model::FlowSet& set, AnalysisCache& cache,
   opts.telemetry = telemetry;
   if (warm) {
     for (std::size_t i = 0; i < n; ++i) {
-      if (!roles.same[i]) continue;
+      if (roles.rank[i] >= roles.analysed) continue;
       const model::SporadicFlow& f = fs.flow(static_cast<FlowIndex>(i));
       const auto it = cache.rows_.find(f.name());
       if (it != cache.rows_.end() && !it->second.smax.empty()) {
@@ -152,7 +152,7 @@ Result run_analysis(const model::FlowSet& set, AnalysisCache& cache,
   } else if (!cache.rows_.empty()) {
     // Invalidated: every analysable flow restarts from the cold seed.
     for (std::size_t i = 0; i < n; ++i)
-      if (roles.same[i]) ++stats.cache_misses;
+      if (roles.rank[i] < roles.analysed) ++stats.cache_misses;
   }
   if (telemetry != nullptr) {
     telemetry->metrics.counter("trajectory.cache_hits") +=

@@ -22,12 +22,11 @@ namespace tfa::trajectory {
 EngineRoles default_roles(const model::FlowSet& set, const Config& cfg) {
   const std::size_t n = set.size();
   EngineRoles roles;
-  roles.same.assign(n, true);
-  roles.higher.assign(n, false);
+  roles.rank.assign(n, 0);
   if (cfg.ef_mode)
     for (std::size_t j = 0; j < n; ++j)
-      roles.same[j] =
-          model::is_ef(set.flow(static_cast<FlowIndex>(j)).service_class());
+      roles.rank[j] =
+          !model::is_ef(set.flow(static_cast<FlowIndex>(j)).service_class());
   return roles;
 }
 
@@ -344,7 +343,7 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
   workers_ = cfg_.workers == 0 ? default_worker_count() : cfg_.workers;
 
   const std::size_t n = set.size();
-  TFA_EXPECTS(roles.same.size() == n && roles.higher.size() == n);
+  TFA_EXPECTS(roles.rank.size() == n && roles.analysed >= 1);
 
   obs::Telemetry* tel = opts.telemetry;
   obs::Span engine_span = obs::span(tel, "trajectory.engine");
@@ -355,26 +354,24 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
   obs::Span build_span = obs::span(tel, "trajectory.build");
   geometry_ = model::FlowSetGeometry(set);
   TFA_EXPECTS(model::satisfies_assumption1(geometry_.incidence()));
-  mask_ = std::move(roles.same);
-  hp_mask_ = std::move(roles.higher);
-  higher_smax_ = std::move(roles.higher_smax);
-  // Every flow in neither the aggregate nor a higher class blocks.
-  non_blockers_.assign(n, true);
-  for (std::size_t j = 0; j < n; ++j) {
-    TFA_EXPECTS(!(mask_[j] && hp_mask_[j]));
-    non_blockers_[j] = mask_[j] || hp_mask_[j];
-    delta_enabled_ = delta_enabled_ || !non_blockers_[j];
-  }
-  TFA_EXPECTS(!has_higher_priority_flows() || higher_smax_ != nullptr);
+  rank_ = std::move(roles.rank);
+  analysed_ranks_ = roles.analysed;
+  same_rank_.assign(analysed_ranks_, std::vector<bool>(n, false));
+  non_blockers_ = same_rank_;
 
-  // Per-flow parameter lanes: one contiguous read per batch push instead
-  // of a flow-object dereference per interference term.
+  // Per-flow parameter lanes (one contiguous read per batch push instead
+  // of a flow-object dereference per interference term) and role masks.
   flow_period_.resize(n);
   flow_jitter_.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     const model::SporadicFlow& f = set.flow(static_cast<FlowIndex>(j));
     flow_period_[j] = f.period();
     flow_jitter_[j] = f.jitter();
+    const std::uint32_t r = rank_[j];
+    max_rank_ = std::max(max_rank_, r);
+    if (r < analysed_ranks_) same_rank_[r][j] = true;
+    for (std::uint32_t q = r; q < analysed_ranks_; ++q)
+      non_blockers_[q][j] = true;
   }
 
   // Seed the Smax table with its certain lower bound: release jitter plus
@@ -388,7 +385,7 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
   prefix_response_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto fi = static_cast<FlowIndex>(i);
-    if (!mask_[i]) continue;  // background flows never need Smax
+    if (!analysable(fi)) continue;  // blockers never need Smax
     const model::SporadicFlow& f = set.flow(fi);
     const std::size_t len = f.path().size();
     smax_[i].resize(len);
@@ -439,8 +436,8 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
     parallel_for(
         n,
         [&](std::size_t i) {
-          if (!mask_[i]) return;
           const auto fi = static_cast<FlowIndex>(i);
+          if (!analysable(fi)) return;
           full_bounds_[i] = prefix_bound(
               fi, set_.flow(fi).path().size(),
               instrument ? &partials[i] : nullptr,
@@ -476,7 +473,7 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
       // The full-path Lemma-3 iterate climbs, one series per analysable
       // flow, appended in flow-index order.
       for (std::size_t i = 0; i < n; ++i) {
-        if (!mask_[i]) continue;
+        if (!analysable(static_cast<FlowIndex>(i))) continue;
         const std::string series_name = "trajectory.flow." +
                                         set_.flow(static_cast<FlowIndex>(i))
                                             .name() +
@@ -489,8 +486,8 @@ Engine::Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
 }
 
 bool Engine::analysable(FlowIndex i) const {
-  TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < mask_.size());
-  return mask_[static_cast<std::size_t>(i)];
+  TFA_EXPECTS(i >= 0 && static_cast<std::size_t>(i) < rank_.size());
+  return rank_[static_cast<std::size_t>(i)] < analysed_ranks_;
 }
 
 const PrefixBound& Engine::bound(FlowIndex i) const {
@@ -519,15 +516,16 @@ void Engine::build_prefix_contexts() {
   prefix_ctx_.resize(n);
 
   // ---- Lemma-3 keys.  B^slow of prefix (i, k) is the fixed point of an
-  // operator fixed by the prefix's node set N and the blocking delay
-  // delta alone: its terms are the aggregate and higher-priority flows
-  // meeting N, each at max_{h in P_j ∩ N} C_j^h, seeded with delta plus
-  // one packet of each (docs/math.md, "One busy period per (node set,
-  // δ)").  The keys are collected per flow (disjoint rows), then
-  // deduplicated in sorted order, so the solve list and each solve's
-  // representative prefix are the same for every worker count without
-  // a lock.
+  // operator fixed by tau_i's rank, the prefix's node set N and the
+  // blocking delay delta alone: its terms are the flows of tau_i's rank
+  // or above meeting N, each at max_{h in P_j ∩ N} C_j^h, seeded with
+  // delta plus one packet of each (docs/math.md, "One busy period per
+  // (node set, δ)").  The keys are collected per flow (disjoint rows),
+  // then deduplicated in sorted order, so the solve list and each solve's
+  // representative prefix are the same for every worker count without a
+  // lock.
   struct BusyKey {
+    std::uint32_t rank = 0;
     std::vector<std::uint32_t> nodes;  ///< The node set as sorted slots.
     Duration delta = 0;
     std::size_t flow = 0;
@@ -546,25 +544,28 @@ void Engine::build_prefix_contexts() {
   parallel_for(
       n,
       [&](std::size_t iu) {
-        if (!mask_[iu]) return;
         const auto i = static_cast<FlowIndex>(iu);
+        if (!analysable(i)) return;
         const model::SporadicFlow& fi = set_.flow(i);
         const model::Path& path = fi.path();
         const std::size_t len = path.size();
         const std::span<const std::uint32_t> slots = index.slots(i);
+        const std::uint32_t rank = rank_[iu];
+        const std::vector<bool>& same = same_rank_[rank];
+        const bool blocked = rank < max_rank_;
         // Per-thread: the walk's flow map is sized by the set, so one walk
         // serves every flow a thread builds.
         thread_local model::PrefixWalk walk;
         walk.start(geometry_, i);
 
-        // Candidate interferers: every flow meeting P_i with an analysed
-        // role, in ascending index order — the order the terms are pushed
-        // in, which the saturating fold's early exits depend on.  Tracked
-        // index 0 is tau_i itself.
+        // Candidate interferers: every flow meeting P_i of tau_i's rank
+        // or above, in ascending index order — the order the terms are
+        // pushed in, which the saturating fold's early exits depend on.
+        // Tracked index 0 is tau_i itself.
         std::vector<std::size_t> cand;
         for (std::size_t x = 1; x < walk.tracked(); ++x) {
           const auto ju = static_cast<std::size_t>(walk.flow(x));
-          if (mask_[ju] || hp_mask_[ju]) cand.push_back(x);
+          if (rank_[ju] <= rank) cand.push_back(x);
         }
 
         // Per position q of the prefix: the same-direction joiner max/min
@@ -584,11 +585,11 @@ void Engine::build_prefix_contexts() {
           const bool turned = walk.extend();
           for (std::size_t q = turned ? 0 : p; q <= p; ++q) {
             const model::PrefixWalk::JoinerCosts c =
-                walk.joiner_costs(q, mask_);
+                walk.joiner_costs(q, same);
             max_at[q] = c.max;
             min_at[q] = c.min;
-            if (delta_enabled_)
-              blocking[q] = blocking_at(walk, q, non_blockers_);
+            if (blocked)
+              blocking[q] = blocking_at(walk, q, non_blockers_[rank]);
           }
           for (std::size_t q = turned ? 1 : std::max<std::size_t>(p, 1);
                q <= p; ++q)
@@ -599,13 +600,13 @@ void Engine::build_prefix_contexts() {
           // Non-preemption delay (Property 3 / FP-FIFO): it reads tau_i's
           // own costs, so it is part of the key.
           Duration delta = 0;
-          if (delta_enabled_)
+          if (blocked)
             for (std::size_t q = 0; q <= p; ++q)
               delta = sat_add(delta, pos_part(blocking[q]));
           node_set.insert(
               std::upper_bound(node_set.begin(), node_set.end(), slots[p]),
               slots[p]);
-          keys[iu][p] = {node_set, delta, iu, prefix};
+          keys[iu][p] = {rank, node_set, delta, iu, prefix};
 
           // ---- Constant part of W: the third, fourth and fifth terms.
           // Summed wide: only prefixes whose busy period converges are
@@ -640,7 +641,7 @@ void Engine::build_prefix_contexts() {
             ts.ju = static_cast<std::uint32_t>(ju);
             ts.pos_i_fji = g.first_pi;
             ts.pos_j_fij = g.entry_pj;
-            ts.hp = !mask_[ju];
+            ts.hp = rank_[ju] < rank;
             ts.period = flow_period_[ju];
             ts.cost = g.c_slow;
             ts.thr = clamp_mul_threshold(ts.cost);
@@ -656,13 +657,14 @@ void Engine::build_prefix_contexts() {
     for (const BusyKey& key : row) order.push_back(&key);
   std::sort(order.begin(), order.end(),
             [](const BusyKey* a, const BusyKey* b) {
-              return std::tie(a->nodes, a->delta, a->flow, a->prefix) <
-                     std::tie(b->nodes, b->delta, b->flow, b->prefix);
+              return std::tie(a->rank, a->nodes, a->delta, a->flow,
+                              a->prefix) < std::tie(b->rank, b->nodes, b->delta,
+                                                    b->flow, b->prefix);
             });
   std::vector<const BusyKey*> reps;  // first prefix of every distinct key
   for (const BusyKey* key : order) {
-    if (reps.empty() || reps.back()->nodes != key->nodes ||
-        reps.back()->delta != key->delta)
+    if (reps.empty() || reps.back()->rank != key->rank ||
+        reps.back()->nodes != key->nodes || reps.back()->delta != key->delta)
       reps.push_back(key);
     prefix_ctx_[key->flow][key->prefix - 1].busy = reps.size() - 1;
   }
@@ -734,7 +736,7 @@ PrefixBound Engine::prefix_bound(FlowIndex i, std::size_t prefix,
   PrefixBound out;
   if (!bs.converged) return out;  // divergent: response stays infinite
   out.busy_period = bs.busy_period;
-  if (delta_enabled_) out.delta = bs.delta;
+  out.delta = bs.delta;
 
   const Duration constant = ctx.constant;
   const Duration c_last = ctx.c_last;
@@ -756,9 +758,7 @@ PrefixBound Engine::prefix_bound(FlowIndex i, std::size_t prefix,
              ctx.own_thr);  // own term
   for (const TermStatic& ts : ctx.terms) {
     const Duration smax_i_at = smax_[iu][ts.pos_i_fji];
-    const Duration smax_j_at =
-        !ts.hp ? smax_[ts.ju][ts.pos_j_fij]
-               : higher_smax_(static_cast<FlowIndex>(ts.ju), ts.pos_j_fij);
+    const Duration smax_j_at = smax_[ts.ju][ts.pos_j_fij];
     if (is_infinite(smax_i_at) || is_infinite(smax_j_at))
       return out;  // upstream divergence poisons this bound
 
@@ -839,91 +839,99 @@ void Engine::run_fixed_point(std::vector<EngineStats>* partials,
   // the sequence of tables — hence the converged result and every work
   // counter — is identical for any worker count.  Both schemes reach the
   // same least fixed point (monotone operator, pre-fixed-point seed);
-  // Jacobi may just need more passes.
+  // Jacobi may just need more passes.  A rank's operator reads only its
+  // own rows and those of the ranks above it, final by then (docs/math.md,
+  // "FP/FIFO").  A rank below an unconverged one is not solved: its bounds
+  // are withheld anyway.
   std::vector<std::vector<Duration>> next = smax_;
   std::vector<char> row_changed(n, 0);
   std::size_t bp_published = 0;  // busy-period iterations already exported
 
-  for (iterations_ = 0; iterations_ < cfg_.max_smax_iterations; ++iterations_) {
-    parallel_for(
-        n,
-        [&](std::size_t i) {
-          row_changed[i] = 0;
-          if (!mask_[i]) return;
-          const auto fi = static_cast<FlowIndex>(i);
-          EngineStats* stats = partials != nullptr ? &(*partials)[i] : nullptr;
-          const model::Path& path = set_.flow(fi).path();
-          const std::size_t len = path.size();
-          next[i] = smax_[i];
-          // Arrival semantics: Smax at position k is the worst response
-          // over the k-node prefix plus that hop's worst-case link
-          // traversal (so position 0 stays at the release jitter).
-          // Completion semantics: the worst response over the prefix
-          // *including* position k.  Each response is also kept in the
-          // flow's prefix_response_ row (disjoint per flow): after the
-          // pass that changes nothing, the row holds every prefix's
-          // response against the converged table.
-          for (std::size_t k = completion ? 0u : 1u; k < len; ++k) {
-            const std::size_t prefix = completion ? k + 1 : k;
-            const PrefixBound pb = prefix_bound(fi, prefix, stats);
-            prefix_response_[i][prefix - 1] = pb.response;
-            Duration value = kInfiniteDuration;
-            if (pb.finite())
-              value = completion
-                          ? pb.response
-                          : sat_add(pb.response,
-                                    set_.network().link_lmax(path.at(k - 1),
-                                                             path.at(k)));
-            TFA_ASSERT(value >= smax_[i][k]);  // monotone from below
-            if (value != smax_[i][k]) {
-              next[i][k] = value;
-              row_changed[i] = 1;
+  for (std::uint32_t r = 0; r < analysed_ranks_ && converged_ranks_ == r;
+       ++r) {
+    for (std::size_t pass = 0; pass < cfg_.max_smax_iterations; ++pass) {
+      parallel_for(
+          n,
+          [&](std::size_t i) {
+            row_changed[i] = 0;
+            if (rank_[i] != r) return;
+            const auto fi = static_cast<FlowIndex>(i);
+            EngineStats* stats =
+                partials != nullptr ? &(*partials)[i] : nullptr;
+            const model::Path& path = set_.flow(fi).path();
+            const std::size_t len = path.size();
+            next[i] = smax_[i];
+            // Arrival semantics: Smax at position k is the worst response
+            // over the k-node prefix plus that hop's worst-case link
+            // traversal (so position 0 stays at the release jitter).
+            // Completion semantics: the worst response over the prefix
+            // *including* position k.  Each response is also kept in the
+            // flow's prefix_response_ row (disjoint per flow): after the
+            // pass that changes nothing, the row holds every prefix's
+            // response against the converged table.
+            for (std::size_t k = completion ? 0u : 1u; k < len; ++k) {
+              const std::size_t prefix = completion ? k + 1 : k;
+              const PrefixBound pb = prefix_bound(fi, prefix, stats);
+              prefix_response_[i][prefix - 1] = pb.response;
+              Duration value = kInfiniteDuration;
+              if (pb.finite())
+                value = completion
+                            ? pb.response
+                            : sat_add(pb.response,
+                                      set_.network().link_lmax(path.at(k - 1),
+                                                               path.at(k)));
+              TFA_ASSERT(value >= smax_[i][k]);  // monotone from below
+              if (value != smax_[i][k]) {
+                next[i][k] = value;
+                row_changed[i] = 1;
+              }
             }
+          },
+          workers_);
+
+      bool changed = false;
+      for (std::size_t i = 0; i < n; ++i) changed = changed || row_changed[i];
+
+      if (telemetry != nullptr) {
+        // Per-pass convergence telemetry, computed sequentially before the
+        // swap: the table's L1 change (divergent entries clamped to the
+        // ceiling so the residual stays finite), the number of rows that
+        // moved, and the Lemma-3 work this pass cost.  One append per pass
+        // — the series ARE the Jacobi convergence profile.
+        const Duration ceiling = cfg_.divergence_ceiling;
+        auto clamp = [ceiling](Duration v) {
+          return v > ceiling ? ceiling : v;
+        };
+        Duration residual = 0;
+        std::int64_t changed_rows = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+          changed_rows += row_changed[i];
+          for (std::size_t k = 0; k < smax_[i].size(); ++k) {
+            residual += clamp(next[i][k]) - clamp(smax_[i][k]);
+            if (residual > kInfiniteDuration) residual = kInfiniteDuration;
           }
-        },
-        workers_);
-
-    bool changed = false;
-    for (std::size_t i = 0; i < n; ++i) changed = changed || row_changed[i];
-
-    if (telemetry != nullptr) {
-      // Per-pass convergence telemetry, computed sequentially before the
-      // swap: the table's L1 change (divergent entries clamped to the
-      // ceiling so the residual stays finite), the number of rows that
-      // moved, and the Lemma-3 work this pass cost.  One append per pass
-      // — the series ARE the Jacobi convergence profile.
-      const Duration ceiling = cfg_.divergence_ceiling;
-      auto clamp = [ceiling](Duration v) { return v > ceiling ? ceiling : v; };
-      Duration residual = 0;
-      std::int64_t changed_rows = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        changed_rows += row_changed[i];
-        for (std::size_t k = 0; k < smax_[i].size(); ++k) {
-          residual += clamp(next[i][k]) - clamp(smax_[i][k]);
-          if (residual > kInfiniteDuration) residual = kInfiniteDuration;
         }
+        telemetry->metrics.append_series("trajectory.smax.residual", residual);
+        telemetry->metrics.append_series("trajectory.smax.changed_rows",
+                                         changed_rows);
+        std::size_t bp_total = 0;
+        if (partials != nullptr)
+          for (const EngineStats& p : *partials)
+            bp_total += p.busy_period_iterations;
+        telemetry->metrics.append_series(
+            "trajectory.smax.bp_iterations",
+            static_cast<std::int64_t>(bp_total - bp_published));
+        bp_published = bp_total;
       }
-      telemetry->metrics.append_series("trajectory.smax.residual", residual);
-      telemetry->metrics.append_series("trajectory.smax.changed_rows",
-                                       changed_rows);
-      std::size_t bp_total = 0;
-      if (partials != nullptr)
-        for (const EngineStats& p : *partials)
-          bp_total += p.busy_period_iterations;
-      telemetry->metrics.append_series(
-          "trajectory.smax.bp_iterations",
-          static_cast<std::int64_t>(bp_total - bp_published));
-      bp_published = bp_total;
-    }
 
-    smax_.swap(next);
-    if (!changed) {
-      converged_ = true;
+      smax_.swap(next);
       ++iterations_;
-      return;
+      if (!changed) {
+        ++converged_ranks_;
+        break;
+      }
     }
   }
-  converged_ = false;
 }
 
 Result compose(const model::FlowSet& set,
@@ -949,7 +957,7 @@ Result compose(const model::FlowSet& set,
     // Sum the per-segment trajectory bounds, plus one worst-case link
     // traversal per junction between consecutive segments.
     Duration total = 0;
-    bool finite = engine.converged();
+    bool finite = engine.converged(engine.rank(segments.front()));
     for (std::size_t s = 0; s < segments.size() && finite; ++s) {
       const PrefixBound& pb = engine.bound(segments[s]);
       if (!pb.finite()) {

@@ -15,7 +15,9 @@
 // which the paper gives no closed form.  We use the standard prefix
 // recursion, Smax_i^h = R_i(prefix up to pre_i(h)) + Lmax, solved as a
 // global monotone fixed point over the whole table {Smax_i^h} (see
-// DESIGN.md Section 4).
+// DESIGN.md Section 4).  With several analysed priority ranks (FP/FIFO)
+// the table is solved rank by rank, highest priority first, each rank's
+// rows against the final rows of the ranks above it.
 #pragma once
 
 #include <cstddef>
@@ -82,28 +84,22 @@ struct CandidateSweep {
                                               Duration c_last,
                                               std::size_t budget);
 
-/// Scheduling role of every flow relative to the aggregate under analysis.
-/// Roles are the only difference between Property 2, Property 3 and the
-/// FP/FIFO extension: default_roles() derives the first two from
-/// Config::ef_mode, analyze_fp_fifo() assigns one set per class.  Every
-/// flow in neither role is of strictly lower priority and contributes
-/// only the non-preemption blocking of Lemma 4.
+/// Scheduling role of every flow: one priority rank per flow, 0 highest.
+/// Ranks are the only difference between Property 2, Property 3 and the
+/// FP/FIFO extension.  Seen from a flow of rank r, rank r is its FIFO
+/// aggregate; lower ranks overtake at every node, so they are counted
+/// with a window extended by the (implicit) latest start time, a
+/// per-instant fixed point; higher ranks only block (Lemma 4).
 struct EngineRoles {
-  /// Flows scheduled FIFO inside the analysed aggregate.
-  std::vector<bool> same;
-  /// Flows of strictly higher priority: they can overtake at every node,
-  /// so they are counted with a window extended by the (implicit) latest
-  /// start time — a per-instant fixed point.
-  std::vector<bool> higher;
-  /// Smax accessor for `higher` flows (their tables live in the engine of
-  /// their own class): (flow, path position) -> Smax.
-  std::function<Duration(FlowIndex, std::size_t)> higher_smax;
+  std::vector<std::uint32_t> rank;  ///< Per flow.
+  /// Ranks [0, analysed) are analysed; the others only block.
+  std::uint32_t analysed = 1;
 };
 
 /// The roles implied by Config::ef_mode, the one place that decides
-/// Property 2/3 membership: Property 2 puts every flow in the FIFO
-/// aggregate; Property 3 puts the EF flows in it, so every other flow is
-/// a Lemma-4 blocker.
+/// Property 2/3 membership: Property 2 puts every flow in rank 0;
+/// Property 3 puts the EF flows in rank 0 and every other flow in rank 1,
+/// so they are Lemma-4 blockers.  Only rank 0 is analysed.
 [[nodiscard]] EngineRoles default_roles(const model::FlowSet& set,
                                         const Config& cfg);
 
@@ -149,15 +145,35 @@ class Engine {
   Engine(const model::FlowSet& set, const Config& cfg, EngineRoles roles,
          const EngineOptions& opts = {});
 
-  /// True when the Smax table stabilised within the iteration budget.
-  [[nodiscard]] bool converged() const noexcept { return converged_; }
+  /// True when the Smax rows of every analysed rank stabilised within
+  /// the iteration budget.
+  [[nodiscard]] bool converged() const noexcept {
+    return converged_ranks_ == analysed_ranks_;
+  }
 
-  /// Number of fixed-point passes executed.
+  /// True when the Smax rows of rank `r` and of every rank above it
+  /// stabilised: a rank solved against an unconverged table above it
+  /// reads an underestimate of that table's offsets.
+  [[nodiscard]] bool converged(std::uint32_t r) const noexcept {
+    return r < converged_ranks_;
+  }
+
+  /// Number of fixed-point passes executed, summed over the ranks.
   [[nodiscard]] std::size_t iterations() const noexcept { return iterations_; }
 
-  /// Whether flow `i` participates in the FIFO aggregate under analysis
-  /// (in EF mode: is an EF flow).
+  /// Whether flow `i` belongs to an analysed rank (in EF mode: is an EF
+  /// flow).
   [[nodiscard]] bool analysable(FlowIndex i) const;
+
+  /// Priority rank of flow `i`.
+  [[nodiscard]] std::uint32_t rank(FlowIndex i) const {
+    return rank_[static_cast<std::size_t>(i)];
+  }
+
+  /// Number of analysed ranks (1 for Property 2 and Property 3).
+  [[nodiscard]] std::uint32_t analysed_ranks() const noexcept {
+    return analysed_ranks_;
+  }
 
   /// Full-path bound for analysable flow `i`.
   [[nodiscard]] const PrefixBound& bound(FlowIndex i) const;
@@ -170,21 +186,10 @@ class Engine {
     return geometry_;
   }
 
-  /// Membership of the analysed FIFO aggregate (exposed for explainers).
+  /// Membership of rank 0, the FIFO aggregate of a one-rank run and the
+  /// complement of its blocking set (exposed for explainers).
   [[nodiscard]] const std::vector<bool>& aggregate_mask() const noexcept {
-    return mask_;
-  }
-
-  /// True when some flow plays the higher-priority role (FP/FIFO mode).
-  [[nodiscard]] bool has_higher_priority_flows() const noexcept {
-    for (const bool h : hp_mask_)
-      if (h) return true;
-    return false;
-  }
-
-  /// Complement of the blocking set (exposed for explainers).
-  [[nodiscard]] const std::vector<bool>& non_blockers() const noexcept {
-    return non_blockers_;
+    return same_rank_.front();
   }
 
   /// Response bound R_i over the first `prefix` hops of flow `i`
@@ -218,7 +223,7 @@ class Engine {
     std::uint32_t ju = 0;         ///< Interfering flow index.
     std::uint32_t pos_i_fji = 0;  ///< P_i position of first_ji — Smax_i read.
     std::uint32_t pos_j_fij = 0;  ///< P_j position of first_ij — Smax_j read.
-    bool hp = false;              ///< Higher-priority (FP/FIFO) term.
+    bool hp = false;              ///< Higher-priority (lower-rank) term.
     Duration period = 0;          ///< T_j.
     Duration cost = 0;            ///< C_j^{slow_{j,i}}.
     Duration thr = 0;             ///< clamp_mul_threshold(cost).
@@ -230,13 +235,14 @@ class Engine {
                 "every prefix context holds one TermStatic per term");
 
   /// One distinct Lemma-3 busy-period operator of the run and its
-  /// solution.  The operator depends only on the prefix's node set N and
-  /// the blocking delay delta: its terms are every aggregate or
-  /// higher-priority flow j meeting N, with cost max_{h in P_j ∩ N} C_j^h,
-  /// and its seed is delta plus one packet of each (docs/math.md, "One
-  /// busy period per (node set, δ)").  Every prefix with the same key
-  /// shares one solve; the iteration count is replayed into the work
-  /// counters of each prefix_bound() call that reads it.
+  /// solution.  The operator depends only on the prefix flow's rank, the
+  /// prefix's node set N and the blocking delay delta: its terms are every
+  /// flow j of that rank or above meeting N, with cost
+  /// max_{h in P_j ∩ N} C_j^h, and its seed is delta plus one packet of
+  /// each (docs/math.md, "One busy period per (node set, δ)").  Every
+  /// prefix with the same key shares one solve; the iteration count is
+  /// replayed into the work counters of each prefix_bound() call that
+  /// reads it.
   struct BusySolve {
     Duration delta = 0;           ///< Non-preemption delay (EF mode).
     Duration seed = 0;            ///< Busy-period seed (incl. delta).
@@ -265,6 +271,8 @@ class Engine {
 
   void build_prefix_contexts();
 
+  /// Solves the Smax rows rank by rank, highest priority first, each
+  /// rank one Jacobi fixed point against the final rows above it.
   void run_fixed_point(std::vector<EngineStats>* partials,
                        obs::Telemetry* telemetry);
 
@@ -276,18 +284,20 @@ class Engine {
   // from these instead of dereferencing flow objects term by term.
   std::vector<Duration> flow_period_;  ///< T_j.
   std::vector<Duration> flow_jitter_;  ///< J_j.
-  std::vector<bool> mask_;       ///< FIFO-aggregate membership per flow.
-  std::vector<bool> hp_mask_;    ///< Higher-priority flows.
-  std::vector<bool> non_blockers_;  ///< Complement of the blocking set.
-  std::function<Duration(FlowIndex, std::size_t)> higher_smax_;
+  std::vector<std::uint32_t> rank_;  ///< Priority rank per flow.
+  std::uint32_t analysed_ranks_ = 1;
+  std::uint32_t max_rank_ = 0;   ///< A rank below it has blockers.
+  /// Per analysed rank r: the flows of rank r (its FIFO aggregate) and
+  /// the flows of rank <= r (the complement of its blocking set).
+  std::vector<std::vector<bool>> same_rank_;
+  std::vector<std::vector<bool>> non_blockers_;
   std::vector<std::vector<Duration>> smax_;  ///< [flow][position].
   std::vector<std::vector<PrefixContext>> prefix_ctx_;  ///< [flow][prefix-1].
   std::vector<BusySolve> busy_solves_;  ///< Distinct Lemma-3 operators.
   /// Last evaluated R_i per prefix, [flow][prefix-1] (prefix_response()).
   std::vector<std::vector<Duration>> prefix_response_;
   std::vector<PrefixBound> full_bounds_;     ///< [flow], analysable only.
-  bool delta_enabled_ = false;  ///< Some flow plays the blocker role.
-  bool converged_ = false;
+  std::uint32_t converged_ranks_ = 0;  ///< Leading ranks that converged.
   std::size_t iterations_ = 0;
 };
 
@@ -295,7 +305,9 @@ class Engine {
 /// set's flows: one FlowBound per flow whose first segment the engine
 /// analysed (split segments keep their flow's class, so this is the
 /// engine's role assignment), composing Assumption-1 splits as the sum of
-/// the segment bounds plus one worst-case link per junction.  Per-hop
+/// the segment bounds plus one worst-case link per junction.  A flow
+/// whose rank did not converge (Engine::converged(rank)) gets an
+/// infinite, unschedulable bound.  Per-hop
 /// profiles of single-segment flows are read with
 /// Engine::prefix_response(); nothing is re-evaluated.  Result::stats is
 /// left empty.

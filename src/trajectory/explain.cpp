@@ -12,7 +12,7 @@ namespace tfa::trajectory {
 
 Explanation explain(const Engine& engine, FlowIndex i) {
   TFA_EXPECTS(engine.analysable(i));
-  TFA_EXPECTS(!engine.has_higher_priority_flows());
+  TFA_EXPECTS(engine.analysed_ranks() == 1);
   TFA_EXPECTS(engine.converged());
 
   const model::FlowSetGeometry& geo = engine.geometry();

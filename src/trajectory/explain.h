@@ -45,8 +45,9 @@ struct Explanation {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Decomposes the full-path bound of analysable flow `i`.  Unsupported in
-/// FP/FIFO mode (higher-priority windows are implicit fixed points).
+/// Decomposes the full-path bound of analysable flow `i` of a one-rank
+/// engine (Property 2 or 3).  Unsupported with several analysed ranks
+/// (FP/FIFO: higher-priority windows are implicit fixed points).
 [[nodiscard]] Explanation explain(const Engine& engine, FlowIndex i);
 
 }  // namespace tfa::trajectory

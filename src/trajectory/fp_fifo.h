@@ -4,18 +4,20 @@
 // points at fixed-priority scheduling of the other classes — this module
 // supplies that analysis.
 //
-// Per class c (priority order EF > AF1 > ... > BE):
-//   * class-c flows interfere with each other as the FIFO aggregate of
-//     Property 2;
-//   * strictly lower classes contribute the non-preemption delay of
-//     Lemma 4;
-//   * strictly higher classes can overtake at every node, so their packet
-//     counts use a window extended by the latest start time — solved as a
-//     per-instant monotone fixed point inside the engine.
+// Every class with flows is one priority rank of one engine run
+// (EngineRoles, priority order EF > AF1 > ... > BE): a class is the FIFO
+// aggregate of Property 2, the classes below it contribute the
+// non-preemption delay of Lemma 4, and the classes above it overtake at
+// every node, so their packet counts use a window extended by the latest
+// start time, a per-instant monotone fixed point.  The classes' Smax rows
+// are solved in priority order, each against the final rows above it.  A
+// class counts as converged only when it and every class above it
+// converged; otherwise its bounds are infinite and unschedulable.
 //
-// The higher-class windows make the bound an extension beyond the paper;
-// its soundness is regression-validated against the strict-priority
-// simulation (tests/trajectory/fp_fifo_test.cpp).
+// The higher-class windows make the bound an extension beyond the paper,
+// checked against the strict-priority simulation on random sets
+// (tests/trajectory/fp_fifo_test.cpp); it is not proven sound and
+// undercuts the simulation on bench_fp_fifo's campus set (docs/math.md).
 #pragma once
 
 #include <vector>
@@ -33,6 +35,7 @@ namespace tfa::trajectory {
 struct ClassBounds {
   model::ServiceClass service_class = model::ServiceClass::kExpedited;
   std::vector<FlowBound> bounds;  ///< One per original flow of the class.
+  /// This class's and every higher class's Smax rows converged.
   bool converged = false;
 };
 
@@ -41,7 +44,7 @@ struct FpFifoResult {
   std::vector<ClassBounds> classes;  ///< Highest priority first; only
                                      ///< classes that have flows appear.
   bool all_schedulable = false;
-  EngineStats stats;  ///< Work/time accounting summed over all classes.
+  EngineStats stats;  ///< Work/time accounting of the one engine run.
 
   /// Bound of original flow `i`, or null if the flow does not exist.
   [[nodiscard]] const FlowBound* find(FlowIndex i) const noexcept {
@@ -52,13 +55,12 @@ struct FpFifoResult {
   }
 };
 
-/// Analyses every class of `set` top-down; `cfg.ef_mode` is ignored (the
-/// class structure drives the roles).  Each class is one engine run whose
-/// bounds go through the same compose() as analyze()'s.  With a
-/// `telemetry` sink: one "trajectory.fp_fifo" span with a
-/// "trajectory.fp_fifo.<class>" child per analysed class (classes run
-/// top-down, so the span order is the priority order), plus the engine
-/// telemetry of every per-class run accumulated into the registry.
+/// Analyses every class of `set` in one engine run, one rank per class;
+/// `cfg.ef_mode` is ignored (the class structure drives the roles).  The
+/// bounds go through the same compose() as analyze()'s and are split by
+/// class.  With a `telemetry` sink: one "trajectory.fp_fifo" span around
+/// the engine's own telemetry, whose per-pass series hold the classes'
+/// fixed points in priority order.
 [[nodiscard]] FpFifoResult analyze_fp_fifo(
     const model::FlowSet& set, const Config& cfg = {},
     obs::Telemetry* telemetry = nullptr);

@@ -107,15 +107,16 @@ struct BusyTerm {
     FlowIndex i, std::size_t prefix, std::size_t* test_points = nullptr,
     bool* hazard = nullptr) {
   TFA_EXPECTS(engine.analysable(i));
-  TFA_EXPECTS(!engine.has_higher_priority_flows());
+  TFA_EXPECTS(engine.analysed_ranks() == 1);
   const model::FlowSetGeometry& geo = engine.geometry();
   const model::FlowSet& set = geo.flow_set();
   const model::SporadicFlow& fi = set.flow(i);
   TFA_EXPECTS(prefix >= 1 && prefix <= fi.path().size());
   if (test_points != nullptr) *test_points = 0;
   if (hazard != nullptr) *hazard = false;
+  // One analysed rank: the aggregate is also every non-blocker.
   const std::vector<bool>& mask = engine.aggregate_mask();
-  const std::vector<bool>& non_blockers = engine.non_blockers();
+  const std::vector<bool>& non_blockers = mask;
   const std::size_t n = set.size();
 
   bool any_blocker = false;

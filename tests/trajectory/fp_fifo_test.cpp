@@ -141,6 +141,98 @@ FlowSet four_class_set() {
   return set;
 }
 
+/// The campus core of bench_fp_fifo: two EF voice trunks, two AF
+/// aggregates and one BE scavenger sharing a three-router spine.
+FlowSet campus_set() {
+  FlowSet set(Network(7, 1, 2));
+  set.add(SporadicFlow("voice-east", Path{0, 2, 3, 4, 5}, 200, 4, 2, 2000));
+  set.add(SporadicFlow("voice-west", Path{1, 2, 3, 4, 6}, 200, 4, 2, 2000));
+  set.add(SporadicFlow("erp-af1", Path{0, 2, 3, 4, 6}, 300, 12, 0, 4000,
+                       ServiceClass::kAssured1));
+  set.add(SporadicFlow("video-af3", Path{1, 2, 3, 4, 5}, 250, 18, 0, 5000,
+                       ServiceClass::kAssured3));
+  set.add(SporadicFlow("backup-be", Path{0, 2, 3, 4, 5}, 600, 40, 0, 20000,
+                       ServiceClass::kBestEffort));
+  return set;
+}
+
+TEST(FpFifo, PinnedBoundsAndCountersAtEveryWorkerCount) {
+  // R / B / delta / critical instant per flow, and the run's work
+  // counters, for two mixed-class sets.  Every class converges.
+  struct Pin {
+    Duration response, busy_period, delta;
+    Time critical_instant;
+  };
+  struct Case {
+    FlowSet set;
+    std::vector<Pin> bounds;
+    std::size_t passes, prefix_bounds, test_points, bp_iterations;
+  };
+  const Case cases[] = {
+      {campus_set(),
+       {{221, 195, 187, -2},
+        {173, 147, 139, -2},
+        {206, 146, 126, 0},
+        {234, 146, 108, 0},
+        {258, 78, 0, 14}},
+       10, 53, 3120, 7036},
+      {four_class_set(),
+       {{28, 20, 17, 0}, {37, 25, 17, 0}, {57, 28, 21, 0}, {61, 28, 0, 0}},
+       8, 20, 269, 538},
+  };
+  for (const Case& c : cases) {
+    for (const std::size_t workers : {1u, 2u, 8u}) {
+      Config cfg;
+      cfg.workers = workers;
+      const FpFifoResult fp = analyze_fp_fifo(c.set, cfg);
+      for (const ClassBounds& cls : fp.classes) EXPECT_TRUE(cls.converged);
+      for (std::size_t i = 0; i < c.bounds.size(); ++i) {
+        const FlowBound* b = fp.find(static_cast<FlowIndex>(i));
+        ASSERT_NE(b, nullptr) << "flow " << i;
+        EXPECT_EQ(b->response, c.bounds[i].response) << "flow " << i;
+        EXPECT_EQ(b->busy_period, c.bounds[i].busy_period) << "flow " << i;
+        EXPECT_EQ(b->delta, c.bounds[i].delta) << "flow " << i;
+        EXPECT_EQ(b->critical_instant, c.bounds[i].critical_instant)
+            << "flow " << i;
+      }
+      EXPECT_EQ(fp.stats.smax_passes, c.passes);
+      EXPECT_EQ(fp.stats.prefix_bounds, c.prefix_bounds);
+      EXPECT_EQ(fp.stats.test_points, c.test_points);
+      EXPECT_EQ(fp.stats.busy_period_iterations, c.bp_iterations);
+    }
+  }
+}
+
+TEST(FpFifo, ClassBelowAnUnconvergedClassIsNotConverged) {
+  // Three EF flows, two of them crossing in opposite directions, over one
+  // AF1 flow.  One Smax pass leaves EF unconverged; AF1's bound read
+  // against that pre-fixed-point EF table would be optimistic (24 against
+  // the converged 31), so it must be withheld.
+  FlowSet set(Network(4, 1, 1));
+  set.add(SporadicFlow("ef1", Path{0, 1, 2, 3}, 20, 4, 0, 100000));
+  set.add(SporadicFlow("ef2", Path{3, 2, 1, 0}, 20, 4, 0, 100000));
+  set.add(SporadicFlow("ef3", Path{1, 2, 3}, 20, 3, 0, 100000));
+  set.add(SporadicFlow("af", Path{3}, 400, 2, 0, 100000,
+                       ServiceClass::kAssured1));
+  const FpFifoResult full = analyze_fp_fifo(set);
+  ASSERT_EQ(full.classes.size(), 2u);
+  EXPECT_TRUE(full.classes[0].converged);
+  EXPECT_TRUE(full.classes[1].converged);
+  EXPECT_EQ(full.find(3)->response, 31);
+
+  Config cfg;
+  cfg.max_smax_iterations = 1;
+  const FpFifoResult cut = analyze_fp_fifo(set, cfg);
+  ASSERT_EQ(cut.classes.size(), 2u);
+  EXPECT_FALSE(cut.classes[0].converged);
+  EXPECT_FALSE(cut.classes[1].converged);
+  const FlowBound* af = cut.find(3);
+  ASSERT_NE(af, nullptr);
+  EXPECT_TRUE(is_infinite(af->response));
+  EXPECT_FALSE(af->schedulable);
+  EXPECT_FALSE(cut.all_schedulable);
+}
+
 TEST(FpFifo, EveryClassGetsABound) {
   const FpFifoResult fp = analyze_fp_fifo(four_class_set());
   ASSERT_EQ(fp.classes.size(), 4u);
@@ -195,23 +287,30 @@ TEST(FpFifo, DivergesWhenHigherClassesSaturateANode) {
 }
 
 TEST(FpFifo, TelemetrySpansFollowThePriorityOrder) {
+  // One engine run covers every class: one trajectory.engine span with
+  // one trajectory.build under the trajectory.fp_fifo root.  Its fixed
+  // point solves the classes in priority order, each ending on a pass
+  // that changes no row.
   obs::Telemetry tel;
   (void)analyze_fp_fifo(four_class_set(), Config{}, &tel);
   std::vector<std::pair<std::string, std::size_t>> top;
-  std::size_t engines = 0;
+  std::size_t builds = 0;
   for (const obs::Tracer::Event& e : tel.trace.events()) {
     if (e.depth <= 1) top.emplace_back(e.name, e.depth);
-    if (e.name == "trajectory.engine") {
+    if (e.name == "trajectory.build") {
       EXPECT_EQ(e.depth, 2u);
-      ++engines;
+      ++builds;
     }
   }
   const std::vector<std::pair<std::string, std::size_t>> want = {
-      {"trajectory.fp_fifo", 0},     {"trajectory.fp_fifo.EF", 1},
-      {"trajectory.fp_fifo.AF1", 1}, {"trajectory.fp_fifo.AF3", 1},
-      {"trajectory.fp_fifo.BE", 1}};
+      {"trajectory.fp_fifo", 0}, {"trajectory.engine", 1}};
   EXPECT_EQ(top, want);
-  EXPECT_EQ(engines, 4u);  // one engine run under each class span
+  EXPECT_EQ(builds, 1u);
+  std::size_t settled = 0;
+  for (const std::int64_t rows :
+       tel.metrics.series().at("trajectory.smax.changed_rows"))
+    if (rows == 0) ++settled;
+  EXPECT_EQ(settled, 4u);  // one converged fixed point per class
 }
 
 void expect_same_result(const FpFifoResult& a, const FpFifoResult& b) {

@@ -232,7 +232,8 @@ TEST(Engine, SaturatingHigherPriorityTermIsDivergenceNotConvergence) {
   // A single higher-priority term whose product saturates (cost 2^51,
   // four packets => past kInfiniteDuration) must classify the prefix as
   // divergent.  The divergence ceiling is lifted so the saturation path
-  // itself — not the ceiling check — is what fires.
+  // itself — not the ceiling check — is what fires.  "hp" is rank 0, so
+  // "lo" (rank 1) reads its Smax row: 0 at its one node.
   FlowSet set(Network(1, 1, 1));
   set.add(SporadicFlow("lo", Path{0}, 100, 5, 0, 1'000'000));
   set.add(SporadicFlow("hp", Path{0}, Duration{1} << 51, Duration{1} << 51,
@@ -242,11 +243,11 @@ TEST(Engine, SaturatingHigherPriorityTermIsDivergenceNotConvergence) {
   cfg.workers = 1;
   cfg.divergence_ceiling = kInf;
   EngineRoles roles;
-  roles.same = {true, false};
-  roles.higher = {false, true};
-  roles.higher_smax = [](FlowIndex, std::size_t) { return Duration{0}; };
+  roles.rank = {1, 0};
+  roles.analysed = 2;
 
   const Engine engine(set, cfg, std::move(roles));
+  EXPECT_EQ(engine.smax(1, 0), 0);
   EngineStats stats;
   const PrefixBound pb = engine.prefix_bound(0, 1, &stats);
   EXPECT_FALSE(pb.finite());
@@ -259,54 +260,56 @@ TEST(Engine, SaturatingHigherPriorityTermIsDivergenceNotConvergence) {
 }
 
 TEST(Engine, SaturatedWindowInsidePerInstantFixedPointIsDivergence) {
-  // The busy period converges (the hp flow is light), but the hp offset
-  // sits one below the saturation sentinel, so the first per-instant
-  // step's window t + W + A saturates once the FIFO peer puts W above 0.
-  // That must read as divergence, never as a fixed point at
-  // kInfiniteDuration.  The ceiling is lifted so saturation, not the
-  // ceiling check, is what fires.
+  // The busy period converges (the hp flow takes 60% of the node), but
+  // the hp release jitter, three quarters of the saturation sentinel,
+  // sits in its Smax row and so in the offset A: the per-instant fixed
+  // point W = base + count(t + W + A) * C climbs towards 2.5 * A, and the
+  // window t + W + A saturates on the way.  That must read as divergence,
+  // never as a fixed point at kInfiniteDuration.  The ceiling is lifted
+  // so saturation, not the ceiling check, is what fires.
+  const Duration hp_jitter = kInf / 4 * 3;
   FlowSet set(Network(1, 1, 1));
   set.add(SporadicFlow("lo", Path{0}, 100, 5, 0, 1'000'000));
   set.add(SporadicFlow("peer", Path{0}, 100, 3, 0, 1'000'000));
-  set.add(SporadicFlow("hp", Path{0}, 1'000, 10, 0, 1'000'000));
+  set.add(SporadicFlow("hp", Path{0}, 100, 60, hp_jitter, 1'000'000));
 
   Config cfg;
   cfg.workers = 1;
   cfg.divergence_ceiling = kInf;
   EngineRoles roles;
-  roles.same = {true, true, false};
-  roles.higher = {false, false, true};
-  roles.higher_smax = [](FlowIndex, std::size_t) { return kInf - 1; };
+  roles.rank = {1, 1, 0};
+  roles.analysed = 2;
 
   const Engine engine(set, cfg, std::move(roles));
+  EXPECT_EQ(engine.smax(2, 0), hp_jitter);
   EngineStats stats;
   const PrefixBound pb = engine.prefix_bound(0, 1, &stats);
-  EXPECT_EQ(pb.busy_period, 18);
+  EXPECT_EQ(pb.busy_period, 68);
   EXPECT_EQ(pb.response, kInf);
   EXPECT_EQ(stats.test_points, 1u);
 }
 
 TEST(Engine, PinnedBoundsUnderExplicitRolesWithHigherPriorityTerms) {
-  // A well-behaved FP/FIFO configuration: the per-instant fixed point
-  // converges to finite bounds.  The scalar reference does not cover
-  // higher-priority roles, so the bounds are pinned.
+  // A well-behaved FP/FIFO configuration: "lo" and "mid" share rank 1
+  // under "hp" at rank 0, and the per-instant fixed point converges to
+  // finite bounds.  The scalar reference does not cover higher-priority
+  // roles, so the bounds are pinned; they equal analyze_fp_fifo's with
+  // hp in EF and the others in AF1.
   FlowSet set(Network(2, 1, 1));
   set.add(SporadicFlow("lo", Path{0, 1}, 100, 5, 0, 1'000'000));
   set.add(SporadicFlow("mid", Path{0, 1}, 80, 7, 2, 1'000'000));
   set.add(SporadicFlow("hp", Path{0, 1}, 60, 4, 0, 1'000'000));
 
   EngineRoles roles;
-  roles.same = {true, true, false};
-  roles.higher = {false, false, true};
-  roles.higher_smax = [](FlowIndex, std::size_t pos) {
-    return static_cast<Duration>(pos);
-  };
+  roles.rank = {1, 1, 0};
+  roles.analysed = 2;
 
   Config cfg;
   cfg.workers = 1;
   const Engine engine(set, cfg, std::move(roles));
   ASSERT_TRUE(engine.converged());
-  EXPECT_EQ(engine.iterations(), 2u);
+  EXPECT_EQ(engine.iterations(), 4u);  // two passes per rank
+  EXPECT_EQ(engine.bound(2).response, 18);
   EXPECT_EQ(engine.bound(0).response, 24);
   EXPECT_EQ(engine.bound(0).busy_period, 16);
   EXPECT_EQ(engine.bound(0).critical_instant, 0);
